@@ -270,11 +270,13 @@ def parse_matrix(text: str) -> DataMatrix:
                 f"row for leaf {leaf} has {len(bits)} sites, expected {width}", lineno)
         bits_by_label[leaf] = bits
 
-    columns = []
+    # a counts line is summed per distinct column, never expanded into k
+    # columns, so a compressed file costs O(distinct patterns) to read
+    merged: dict[Character, int] = {}
     for j in range(width):
         ch = tuple(int(bits_by_label[lab][j]) for lab in range(1, n + 1))
-        columns.extend([ch] * (counts[j] if counts is not None else 1))
-    return DataMatrix.from_columns(n, columns)
+        merged[ch] = merged.get(ch, 0) + (counts[j] if counts is not None else 1)
+    return DataMatrix(n, tuple(sorted(merged.items())))
 
 
 def write_matrix(matrix: DataMatrix, compressed: bool = False) -> str:

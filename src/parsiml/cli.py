@@ -64,6 +64,10 @@ def _apply_common_defaults(args) -> None:
     for name, value in fallback.items():
         if not hasattr(args, name):
             setattr(args, name, value)
+    cores = os.cpu_count() or 1
+    if not 1 <= args.threads <= cores:
+        raise UsageError(f"--threads {args.threads} outside 1..{cores} "
+                         "(the number of CPUs)")
 
 
 def build_parser() -> _Parser:
@@ -81,7 +85,8 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=supp,
                         help="seed for all randomness (default 0)")
     common.add_argument("--threads", type=int, default=supp,
-                        help="worker cap for topology sweeps (default 1)")
+                        help="worker cap for topology sweeps, 1..CPU count "
+                             "(default 1)")
     common.add_argument("--n-max", type=int, default=supp,
                         help="leaf cap for exhaustive enumeration")
     common.add_argument("--nc-max", type=int, default=supp,
@@ -331,8 +336,8 @@ def run(argv=None) -> int:
     """Parse ``argv`` and execute one subcommand; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_common_defaults(args)
     try:
+        _apply_common_defaults(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"parsiml: error: {exc}", file=sys.stderr)

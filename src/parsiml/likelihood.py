@@ -85,7 +85,7 @@ class EdgeProbs:
         return f"EdgeProbs({{{inner}}})"
 
 
-def _pattern_value(plan, leaf_labels, vec, ch) -> float:
+def _pattern_value(plan, vec, ch) -> float:
     """One pattern's likelihood via the dynamic program.
 
     ``plan`` is a postorder rooted traversal; ``vec`` holds raw edge
@@ -96,7 +96,7 @@ def _pattern_value(plan, leaf_labels, vec, ch) -> float:
     root, root_children = plan[-1]
     for v, children in plan:
         if not children:
-            down[v] = (1.0, 0.0) if ch[leaf_labels[v] - 1] == 0 else (0.0, 1.0)
+            down[v] = (1.0, 0.0) if ch[v - 1] == 0 else (0.0, 1.0)
             continue
         like0 = like1 = 1.0
         for c, ei in children:
@@ -107,8 +107,8 @@ def _pattern_value(plan, leaf_labels, vec, ch) -> float:
             like1 *= p * c0 + stay * c1
         down[v] = (like0, like1)
     like0, like1 = down[root]
-    if root in leaf_labels:
-        return like0 if ch[leaf_labels[root] - 1] == 0 else like1
+    if root <= len(ch):
+        return like0 if ch[root - 1] == 0 else like1
     return like0 + like1
 
 
@@ -124,7 +124,7 @@ def char_likelihood_pruning(tree: Tree, probs: EdgeProbs, ch,
         raise ValueError(f"character has {len(ch)} states, tree has {tree.n} leaves")
     vec = probs.vector(tree)
     plan = tree.rooted_plan(anchor)
-    return _pattern_value(plan, tree.leaf_labels, vec, ch)
+    return _pattern_value(plan, vec, ch)
 
 
 def char_likelihood_exhaustive(tree: Tree, probs: EdgeProbs, ch,
@@ -138,9 +138,7 @@ def char_likelihood_exhaustive(tree: Tree, probs: EdgeProbs, ch,
     m = len(internal)
     if m > cap:
         raise ValueError(f"{m} internal vertices exceeds the exhaustive cap ({cap})")
-    state = {}
-    for v, lab in tree.leaf_labels.items():
-        state[v] = ch[lab - 1]
+    state = {v: ch[v - 1] for v in range(1, tree.n + 1)}
     total = 0.0
     for bits in range(1 << m):
         for j, v in enumerate(internal):
@@ -158,8 +156,28 @@ def pattern_likelihoods(tree: Tree, probs: EdgeProbs, patterns,
     """Likelihood of each pattern in one pass over a shared plan."""
     vec = probs.vector(tree)
     plan = tree.rooted_plan(anchor)
-    labels = tree.leaf_labels
-    return [_pattern_value(plan, labels, vec, tuple(ch)) for ch in patterns]
+    return [_pattern_value(plan, vec, tuple(ch)) for ch in patterns]
+
+
+def cost(weights, at0, at1, x: float) -> float:
+    """-sum of w * ln((1-x) f0 + x f1) over aligned weights and values.
+
+    The one place the dataset cost is summed. The edge optimizer passes the
+    pattern values at p_e = 0 and p_e = 1 and a trial x; a plain cost passes
+    the same values twice with x = 0.0, which is exact because
+    1.0 * f + 0.0 * f == f for every finite f >= 0. Any zero blended value
+    makes the cost +inf.
+    """
+    stay = 1.0 - x
+    total = 0.0
+    for w, f0, f1 in zip(weights, at0, at1):
+        f = stay * f0 + x * f1
+        if f <= 0.0:
+            return math.inf
+        total -= w * math.log(f)
+    # roundoff guard: each value is <= 1 exactly, so the true total is
+    # non-negative
+    return total if total > 0.0 else 0.0
 
 
 def modified_loglik(tree: Tree, probs: EdgeProbs, data: DataMatrix) -> float:
@@ -170,18 +188,8 @@ def modified_loglik(tree: Tree, probs: EdgeProbs, data: DataMatrix) -> float:
     """
     if data.n != tree.n:
         raise ValueError(f"matrix has {data.n} leaves, tree has {tree.n}")
-    vec = probs.vector(tree)
-    plan = tree.rooted_plan()
-    labels = tree.leaf_labels
-    total = 0.0
-    for ch, mult in data.patterns:
-        value = _pattern_value(plan, labels, vec, ch)
-        if value <= 0.0:
-            return math.inf
-        total -= mult * math.log(value)
-    # roundoff guard: each pattern value is <= 1 exactly, so the true total
-    # is non-negative
-    return total if total > 0.0 else 0.0
+    values = pattern_likelihoods(tree, probs, [ch for ch, _ in data.patterns])
+    return cost([mult for _, mult in data.patterns], values, values, 0.0)
 
 
 def write_probs(tree: Tree, probs: EdgeProbs) -> str:

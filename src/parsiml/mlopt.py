@@ -8,9 +8,10 @@ runs a derivative-free scalar search on the cheap 1-D restriction.
 
 Coordinate descent only guarantees a coordinate-wise optimum. That caveat is
 the whole point of the problem this package studies, so it is surfaced, not
-hidden: searches run from several starting points, and an optional grid
-sweep with two refinement rounds (final step 1/512) can cross-check small
-instances. Exhaustive topology search is intended for desk-scale n only.
+hidden: searches run from several starting points, and a grid sweep with
+two refinement rounds (final step 1/512, :func:`grid_minimum`) serves as an
+oracle on small instances. Exhaustive topology search is intended for
+desk-scale n only.
 """
 
 from __future__ import annotations
@@ -23,12 +24,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from parsiml.characters import DataMatrix
-from parsiml.likelihood import EdgeProbs, _pattern_value
+from parsiml.likelihood import EdgeProbs, _pattern_value, cost
 from parsiml.parsimony import parsimony_score
 from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, canonical_newick,
                            enumerate_topologies)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Golden-section bracket width at which a 1-D edge solve stops.
+SCALAR_TOL = 1e-12
+# Coordinate-descent sweeps per start before a fit reports non-convergence.
+MAX_SWEEPS = 500
+# Absolute cost difference under which two topologies count as tied.
+TIE_TOL = 1e-8
 
 
 @dataclass
@@ -37,19 +45,13 @@ class OptimizerConfig:
 
     ``tol`` stops sweeping once a full sweep improves the cost by less;
     ``restarts`` counts starting points (the flip-fraction uniform start and
-    uniform 0.1 first, then seeded random vectors); ``tie_tol`` is the
-    absolute cost difference under which two topologies count as tied;
-    ``grid_fallback`` enables the grid cross-check on trees with at most
-    five edges.
+    uniform 0.1 first, then seeded random vectors); ``seed`` seeds the
+    random starts.
     """
 
     tol: float = 1e-10
-    max_sweeps: int = 500
     restarts: int = 5
     seed: int = 0
-    scalar_tol: float = 1e-12
-    tie_tol: float = 1e-8
-    grid_fallback: bool = False
 
 
 @dataclass
@@ -63,7 +65,7 @@ class MLResult:
 
 
 def golden_section_minimize(f, lo: float, hi: float,
-                            tol: float = 1e-12) -> tuple[float, float]:
+                            tol: float = SCALAR_TOL) -> tuple[float, float]:
     """Minimize a unimodal-ish scalar on [lo, hi] without derivatives.
 
     The endpoints are evaluated explicitly so boundary minima come out
@@ -102,29 +104,23 @@ class _Objective:
     def __init__(self, tree: Tree, data: DataMatrix):
         if data.n != tree.n:
             raise ValueError(f"matrix has {data.n} leaves, tree has {tree.n}")
-        self.tree = tree
         self.plan = tree.rooted_plan()
-        self.labels = tree.leaf_labels
         self.patterns = [ch for ch, _ in data.patterns]
         self.weights = [float(mult) for _, mult in data.patterns]
         self.n_edges = len(tree.edges)
 
     def pattern_values(self, vec) -> list[float]:
-        return [_pattern_value(self.plan, self.labels, vec, ch)
-                for ch in self.patterns]
+        return [_pattern_value(self.plan, vec, ch) for ch in self.patterns]
 
     def value(self, vec) -> float:
-        total = 0.0
-        for w, f in zip(self.weights, self.pattern_values(vec)):
-            if f <= 0.0:
-                return math.inf
-            total -= w * math.log(f)
-        return total if total > 0.0 else 0.0
+        values = self.pattern_values(vec)
+        return cost(self.weights, values, values, 0.0)
 
     def edge_profile(self, vec, i: int) -> tuple[list[float], list[float]]:
         """Pattern values at p_i = 0 and p_i = 1 with other edges fixed.
 
-        The value at any p_i is then the affine blend (1-p)*at0 + p*at1.
+        The value at any p_i is then the affine blend (1-p)*at0 + p*at1,
+        whose cost is ``cost(weights, at0, at1, p)``.
         """
         saved = vec[i]
         vec[i] = 0.0
@@ -134,34 +130,24 @@ class _Objective:
         vec[i] = saved
         return at0, at1
 
-    def value_along(self, at0, at1, x: float) -> float:
-        stay = 1.0 - x
-        total = 0.0
-        for w, f0, f1 in zip(self.weights, at0, at1):
-            f = stay * f0 + x * f1
-            if f <= 0.0:
-                return math.inf
-            total -= w * math.log(f)
-        return total if total > 0.0 else 0.0
-
 
 def _coordinate_descent(obj: _Objective, start, config: OptimizerConfig):
     vec = [float(x) for x in start]
+    weights = obj.weights
     current = obj.value(vec)
-    for sweep in range(1, config.max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         before = current
         for i in range(obj.n_edges):
             at0, at1 = obj.edge_profile(vec, i)
             x, fx = golden_section_minimize(
-                lambda t: obj.value_along(at0, at1, t), 0.0, 0.5,
-                config.scalar_tol)
+                lambda t: cost(weights, at0, at1, t), 0.0, 0.5)
             if fx < current:
                 vec[i] = x
                 current = fx
         current = obj.value(vec)  # resync against 1-D roundoff drift
         if before - current < config.tol:
             return vec, current, True, sweep
-    return vec, current, False, config.max_sweeps
+    return vec, current, False, MAX_SWEEPS
 
 
 def _starting_points(tree: Tree, data: DataMatrix, config: OptimizerConfig,
@@ -230,13 +216,6 @@ def optimize_edges(tree: Tree, data: DataMatrix,
         if best is None or val < best[1]:
             best = (vec, val, converged, sweeps)
     vec, val, converged, sweeps = best
-    if config.grid_fallback and obj.n_edges <= 5:
-        grid_vec, grid_val = grid_minimum(tree, data)
-        if grid_val < val - config.tol:
-            vec2, val2, converged, sweeps = _coordinate_descent(
-                obj, grid_vec, config)
-            if val2 < val:
-                vec, val = vec2, val2
     return MLResult(tree, EdgeProbs.from_vector(tree, vec), val,
                     converged, sweeps, start_values)
 
@@ -248,7 +227,7 @@ def ml_search(data: DataMatrix, config: OptimizerConfig | None = None,
 
     Per-topology random starts are seeded from (config.seed, topology index),
     so results do not depend on worker scheduling. Ties are topologies whose
-    optimized cost is within ``tie_tol`` of the minimum, in canonical order;
+    optimized cost is within ``TIE_TOL`` of the minimum, in canonical order;
     the returned result is the minimum-cost fit, canonical order breaking
     exact ties.
     """
@@ -266,6 +245,6 @@ def ml_search(data: DataMatrix, config: OptimizerConfig | None = None,
         results = [run(pair) for pair in enumerate(topologies)]
 
     best = min(results, key=lambda r: (r.value, canonical_newick(r.tree)))
-    tied = [r.tree for r in results if r.value <= best.value + config.tie_tol]
+    tied = [r.tree for r in results if r.value <= best.value + TIE_TOL]
     tied.sort(key=canonical_newick)
     return best, tied

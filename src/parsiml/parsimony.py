@@ -41,7 +41,7 @@ def fitch_score(tree: Tree, ch) -> int:
     cost = 0
     for v, children in tree.rooted_plan():
         if not children:
-            masks[v] = 1 << ch[tree.leaf_labels[v] - 1]
+            masks[v] = 1 << ch[v - 1]
         else:
             zeros = ones = 0
             for c, _ in children:
@@ -65,9 +65,7 @@ def brute_force_score(tree: Tree, ch, cap: int = BRUTE_FORCE_CAP) -> int:
     if m > cap:
         raise ValueError(
             f"{m} internal vertices exceeds the brute-force cap ({cap})")
-    state = {}
-    for v, lab in tree.leaf_labels.items():
-        state[v] = ch[lab - 1]
+    state = {v: ch[v - 1] for v in range(1, tree.n + 1)}
     best = None
     for bits in range(1 << m):
         for j, v in enumerate(internal):

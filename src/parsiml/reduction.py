@@ -51,6 +51,12 @@ from parsiml.parsimony import fitch_score, mp_search, parsimony_score
 from parsiml.trees import DEFAULT_TOPOLOGY_CAP, Tree, canonical_newick
 
 DEFAULT_M_MIN = 32
+# claim3's deterministic per-edge grid (step 1/8) on trees with at most
+# five edges.
+CLAIM3_GRID = (0.0, 0.125, 0.25, 0.375, 0.5)
+# prop1 chain link (i) slack: the optimized cost may exceed the canonical-q
+# cost of a flip optimum by this much before the link counts as broken.
+CHAIN_TOL = 1e-8
 
 CSV_FIELDS = ("check", "instance", "epsilon", "M", "N_c", "q", "p_bar",
               "lhs", "bound", "margin", "verdict", "trials", "seed",
@@ -381,18 +387,16 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
 
 def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
                   seed: int = 0, epsilon: float | None = None,
-                  m_min: int = DEFAULT_M_MIN, grid_step: float = 0.125,
-                  optimize_probe: bool = True) -> VerifierReport:
+                  m_min: int = DEFAULT_M_MIN) -> VerifierReport:
     """Lower bound over the whole probability box.
 
     Evaluates the normalized cost on seeded random vectors, a deterministic
     coarse grid when the tree has at most five edges, the canonical uniform
-    q, an optimized vector (the hardest point for a lower bound, unless
-    ``optimize_probe`` is off), and probe vectors inside [0, p_bar] when
-    p_bar < 1/E (those probes also feed the unconditional per-character
-    upper bound). The minimum observed cost must reach (1 - 5 eps) l; when
-    it does not, the verdict degrades to inconclusive only if the instance
-    is below the size threshold.
+    q, an optimized vector (the hardest point for a lower bound), and probe
+    vectors inside [0, p_bar] when p_bar < 1/E (those probes also feed the
+    unconditional per-character upper bound). The minimum observed cost
+    must reach (1 - 5 eps) l; when it does not, the verdict degrades to
+    inconclusive only if the instance is below the size threshold.
     """
     started = time.perf_counter()
     epsilon = padded.params.epsilon if epsilon is None else epsilon
@@ -409,14 +413,12 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
     vectors = [[float(x) for x in rng.uniform(0.0, 0.5, n_edges)]
                for _ in range(trials)]
     vectors.append([qty.q] * n_edges)
-    if optimize_probe:
-        fit = optimize_edges(tree, padded.padded,
-                             OptimizerConfig(restarts=2, seed=seed))
-        vectors.append(fit.probs.vector(tree))
+    fit = optimize_edges(tree, padded.padded,
+                         OptimizerConfig(restarts=2, seed=seed))
+    vectors.append(fit.probs.vector(tree))
     if n_edges <= 5:
-        points = [j * grid_step for j in range(int(round(0.5 / grid_step)) + 1)]
-        vectors.extend(list(point)
-                       for point in itertools.product(points, repeat=n_edges))
+        vectors.extend(list(point) for point in
+                       itertools.product(CLAIM3_GRID, repeat=n_edges))
     per_char_bad = 0
     if below_threshold:
         probes = [[p_bar] * n_edges]
@@ -461,7 +463,6 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
 def verify_prop1_chain(base: DataMatrix, epsilon: float,
                        config: OptimizerConfig | None = None,
                        m_min: int = DEFAULT_M_MIN,
-                       opt_tol: float = 1e-8,
                        cap: int = DEFAULT_TOPOLOGY_CAP,
                        pad_cap: int | None = None,
                        n_jobs: int = 1) -> VerifierReport:
@@ -474,7 +475,7 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
 
       (i)  the optimized normalized cost is at most the normalized cost of
            any flip-optimal tree at its canonical uniform q, up to
-           ``opt_tol`` (exact search can only do better than one candidate);
+           ``CHAIN_TOL`` (exact search can only do better than one candidate);
       (ii) the winner's flip score is at most (1 + 2 eps)/(1 - 5 eps) l**,
            asserted only for eps < 0.2 (the ratio is positive there) on
            instances past the size threshold.
@@ -501,9 +502,9 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
         report = VerifierReport(
             check="prop1", instance=instance, epsilon=epsilon,
             size=padded.params.size, pad_count=padded.params.pad_count,
-            q=0.0, p_bar=0.0, lhs=lhs_opt, bound=opt_tol,
+            q=0.0, p_bar=0.0, lhs=lhs_opt, bound=CHAIN_TOL,
             direction="lhs<=bound", preconditions_met=True,
-            verdict="pass" if lhs_opt <= opt_tol else "fail",
+            verdict="pass" if lhs_opt <= CHAIN_TOL else "fail",
             note="degenerate: flip score is 0, all topologies tie",
             seed=config.seed, runtime_ms=_elapsed_ms(started),
             details={"mp_score": 0, "ml_tie_count": len(ml_ties),
@@ -514,7 +515,7 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
     rhs_candidates = [normalized_cost(t, EdgeProbs.uniform(t, q), padded)
                       for t in mp_optima]
     rhs = min(rhs_candidates)
-    chain_i_ok = lhs_opt <= rhs + opt_tol
+    chain_i_ok = lhs_opt <= rhs + CHAIN_TOL
 
     winner_score = parsimony_score(ml_best.tree, base)
     coincide = winner_score == best_score
@@ -543,7 +544,7 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
     return VerifierReport(
         check="prop1", instance=instance, epsilon=epsilon,
         size=padded.params.size, pad_count=padded.params.pad_count,
-        q=q, p_bar=qty.p_bar, lhs=lhs_opt, bound=rhs + opt_tol,
+        q=q, p_bar=qty.p_bar, lhs=lhs_opt, bound=rhs + CHAIN_TOL,
         direction="lhs<=bound", preconditions_met=ratio_applies and size_ok,
         verdict=verdict, note=note, seed=config.seed,
         runtime_ms=_elapsed_ms(started),

@@ -1,14 +1,14 @@
 """Unrooted leaf-labeled trees with explicit edge sets.
 
-Leaves carry labels 1..n so character vectors can be indexed directly by
-label; internal vertices use ids n+1 and up. Trees are immutable after
-construction and every operation in this module is a pure function, so
-concurrent use needs no coordination.
+Leaves are the vertices 1..n and each leaf's label is its vertex id, so a
+character vector is indexed by ``ch[v - 1]`` at leaf v; internal vertices use
+ids n+1 and up. Trees are immutable after construction and every operation
+in this module is a pure function, so concurrent use needs no coordination.
 
 Canonical serialization: the tree is rooted at the internal vertex adjacent
-to the leaf labeled 1 (for two leaves, at leaf 1 itself) and children are
-sorted recursively by the smallest leaf label in their subtree. Two trees
-describe the same topology exactly when their canonical Newick strings match.
+to leaf 1 (for two leaves, at leaf 1 itself) and children are sorted
+recursively by the smallest leaf in their subtree. Two trees describe the
+same topology exactly when their canonical Newick strings match.
 """
 
 from __future__ import annotations
@@ -39,25 +39,21 @@ def _normalize_edge(u: int, v: int) -> Edge:
 
 
 class Tree:
-    """An unrooted tree on leaves labeled 1..n.
+    """An unrooted tree whose leaves are the vertices 1..n.
 
     Parameters
     ----------
     n : int
-        Number of leaves.
+        Number of leaves. Vertex v in 1..n is the leaf labeled v; every
+        other vertex is internal. Vertex ids must be positive.
     edges : iterable of (int, int)
         Undirected edges; orientation and order are irrelevant.
-    leaf_labels : mapping, optional
-        Leaf vertex id -> label in 1..n. Defaults to the identity on 1..n,
-        which is what every constructor in this package produces. The field
-        exists so that label bijection violations are representable and can
-        be reported by :func:`validate`.
     """
 
-    __slots__ = ("n", "edges", "vertices", "leaf_labels",
-                 "_adj", "_edge_index", "_label_to_leaf", "_canonical", "_plans")
+    __slots__ = ("n", "edges", "vertices", "_adj", "_edge_index",
+                 "_canonical", "_plans")
 
-    def __init__(self, n: int, edges, leaf_labels=None):
+    def __init__(self, n: int, edges):
         self.n = int(n)
         if self.n < 1:
             raise ValueError("leaf count must be positive")
@@ -76,10 +72,9 @@ class Tree:
         for u, v in self.edges:
             verts.add(u)
             verts.add(v)
+        if min(verts) < 1:
+            raise ValueError(f"vertex id {min(verts)} is not positive")
         self.vertices = frozenset(verts)
-        if leaf_labels is None:
-            leaf_labels = {v: v for v in range(1, self.n + 1)}
-        self.leaf_labels = dict(leaf_labels)
 
         adj: dict[int, list[int]] = {v: [] for v in verts}
         for u, v in self.edges:
@@ -87,7 +82,6 @@ class Tree:
             adj[v].append(u)
         self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
-        self._label_to_leaf = {lab: v for v, lab in self.leaf_labels.items()}
         self._canonical: str | None = None
         self._plans: dict = {}
 
@@ -100,13 +94,10 @@ class Tree:
         return len(self._adj[v])
 
     def is_leaf(self, v: int) -> bool:
-        return v in self.leaf_labels
-
-    def leaf_for_label(self, label: int) -> int:
-        return self._label_to_leaf[label]
+        return v <= self.n
 
     def internal_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in self.vertices if v not in self.leaf_labels))
+        return tuple(sorted(v for v in self.vertices if v > self.n))
 
     def edge_index(self, u: int, v: int) -> int:
         return self._edge_index[_normalize_edge(u, v)]
@@ -114,13 +105,12 @@ class Tree:
     def canonical_root(self) -> int:
         """Vertex anchoring the canonical orientation.
 
-        The vertex adjacent to the leaf labeled 1, except for the two-leaf
-        tree, which has no internal vertex and anchors at leaf 1.
+        The vertex adjacent to leaf 1, except for the two-leaf tree, which
+        has no internal vertex and anchors at leaf 1.
         """
-        leaf1 = self.leaf_for_label(1)
         if self.n == 2:
-            return leaf1
-        return self._adj[leaf1][0]
+            return 1
+        return self._adj[1][0]
 
     def rooted_plan(self, anchor: int | None = None):
         """Postorder traversal rooted at ``anchor``.
@@ -158,11 +148,10 @@ class Tree:
     def __eq__(self, other):
         if not isinstance(other, Tree):
             return NotImplemented
-        return (self.n == other.n and self.edges == other.edges
-                and self.leaf_labels == other.leaf_labels)
+        return self.n == other.n and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.n, self.edges, tuple(sorted(self.leaf_labels.items()))))
+        return hash((self.n, self.edges))
 
     def __repr__(self):
         try:
@@ -185,8 +174,8 @@ def validate(tree: Tree) -> list[str]:
     """Check every structural invariant; return the list of violations.
 
     An empty list means the tree is well formed: connected, acyclic, leaves
-    exactly the degree-1 vertices with labels forming a bijection onto 1..n,
-    and no internal vertex of degree below 3.
+    1..n present and exactly the degree-1 vertices, and no internal vertex
+    of degree below 3.
     """
     violations: list[str] = []
     verts = tree.vertices
@@ -206,20 +195,17 @@ def validate(tree: Tree) -> list[str]:
     if seen != verts:
         violations.append("not connected")
 
-    labeled = set(tree.leaf_labels)
-    if labeled - verts:
-        violations.append(f"labeled leaves missing from the vertex set: {sorted(labeled - verts)}")
-    labels = sorted(tree.leaf_labels.values())
-    if labels != list(range(1, tree.n + 1)):
-        violations.append("labels not bijective onto 1..n")
+    leaves = set(range(1, tree.n + 1))
+    if leaves - verts:
+        violations.append(f"labeled leaves missing from the vertex set: {sorted(leaves - verts)}")
 
     degree1 = {v for v in verts if tree.degree(v) == 1}
-    for v in sorted(degree1 - labeled):
+    for v in sorted(degree1 - leaves):
         violations.append(f"degree-1 vertex {v} carries no leaf label")
-    for v in sorted(labeled & verts):
+    for v in sorted(leaves & verts):
         if tree.degree(v) != 1:
             violations.append(f"leaf {v} has degree {tree.degree(v)}, expected 1")
-    for v in sorted(verts - labeled):
+    for v in sorted(verts - leaves):
         if tree.degree(v) == 2:
             violations.append(f"internal degree-2 vertex {v}")
         elif tree.degree(v) < 2:
@@ -232,15 +218,12 @@ def canonical_newick(tree: Tree) -> str:
     if tree._canonical is not None:
         return tree._canonical
     if tree.n == 2:
-        a, b = sorted(tree.leaf_labels.values())
-        text = f"({a},{b});"
-        tree._canonical = text
-        return text
+        tree._canonical = "(1,2);"
+        return tree._canonical
 
     def subtree(v: int, parent: int) -> tuple[int, str]:
         if tree.is_leaf(v):
-            lab = tree.leaf_labels[v]
-            return lab, str(lab)
+            return v, str(v)
         parts = sorted(subtree(w, v) for w in tree.neighbors(v) if w != parent)
         return parts[0][0], "(" + ",".join(p[1] for p in parts) + ")"
 

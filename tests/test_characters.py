@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,22 @@ class TestMatrixIO:
     def test_missing_header(self):
         with pytest.raises(MatrixFormatError, match="header"):
             parse_matrix("")
+
+    def test_counts_merge_repeated_columns(self):
+        m = parse_matrix("4 5\ncounts 2 3\n1 00\n2 00\n3 11\n4 11\n")
+        assert m.patterns == (((0, 0, 1, 1), 5),)
+
+    def test_large_counts_do_not_expand(self):
+        # a compressed file must cost O(distinct patterns) to read, not O(k)
+        text = "4 1000000\ncounts 1000000\n1 0\n2 0\n3 1\n4 1\n"
+        tracemalloc.start()
+        try:
+            m = parse_matrix(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.patterns == (((0, 0, 1, 1), 1000000),)
+        assert peak < 1_000_000
 
     def test_counts_must_match_k(self):
         with pytest.raises(MatrixFormatError, match="counts sum to 3"):

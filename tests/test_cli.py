@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -63,6 +64,15 @@ class TestSearch:
         assert payload["converged"] is True
         assert len(payload["probs"]) == 5
 
+    @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
+    def test_threads_outside_cpu_range_rejected(self, workdir, threads):
+        proc = run_cli("search-mp", "--matrix", str(workdir / "x.mat"),
+                       "--threads", str(threads))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "--threads" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_threads_flag_does_not_change_output(self, workdir):
         serial = run_cli("--format", "json", "search-mp",
                          "--matrix", str(workdir / "x.mat"))
@@ -113,8 +123,17 @@ class TestEnumerate:
         assert proc.returncode == 1
         assert "cap" in proc.stderr
 
+    @pytest.mark.parametrize("name", ["PARSIML_N_MAX", "PARSIML_NC_MAX",
+                                      "PARSIML_M_MIN"])
+    def test_malformed_env_is_one_line_error(self, name):
+        env = dict(os.environ, **{name: "abc"})
+        proc = run_cli("enumerate", "--n", "4", env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == \
+            f"parsiml: error: environment variable {name}='abc' is not an integer\n"
+
     def test_env_override(self, workdir):
-        import os
         env = dict(os.environ, PARSIML_N_MAX="9")
         proc = run_cli("--format", "json", "enumerate", "--n", "9", env=env)
         assert proc.returncode == 0

@@ -9,6 +9,7 @@ from parsiml import (DataMatrix, EdgeProbs, char_likelihood_exhaustive,
                      char_likelihood_pruning, complement,
                      enumerate_topologies, fitch_score, is_constant,
                      modified_loglik, parse_probs, write_probs)
+from parsiml.likelihood import cost
 
 from conftest import all_characters, caterpillar
 
@@ -96,6 +97,46 @@ class TestPerCharacter:
         assert -1e-15 <= value <= 1.0 + 1e-15
 
 
+def value_along_reference(weights, at0, at1, x):
+    # the per-edge cost loop as the optimizer wrote it inline before the
+    # shared helper existed
+    stay = 1.0 - x
+    total = 0.0
+    for w, f0, f1 in zip(weights, at0, at1):
+        f = stay * f0 + x * f1
+        if f <= 0.0:
+            return math.inf
+        total -= w * math.log(f)
+    return total if total > 0.0 else 0.0
+
+
+class TestCostHelper:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 8))
+        weights = [float(w) for w in rng.integers(1, 10**6, size)]
+        at0 = [float(f) for f in rng.uniform(0.0, 1.0, size)]
+        at1 = [float(f) for f in rng.uniform(0.0, 1.0, size)]
+        for x in (0.0, float(rng.uniform(0.0, 0.5))):
+            assert cost(weights, at0, at1, x) == \
+                value_along_reference(weights, at0, at1, x)
+        # plain cost: the same values twice at x = 0 is the -sum w ln f loop
+        plain = 0.0
+        for w, f in zip(weights, at0):
+            plain -= w * math.log(f)
+        assert cost(weights, at0, at0, 0.0) == plain
+        assert cost(weights, at0, at0, 0.0) == \
+            value_along_reference(weights, at0, at0, 0.0)
+
+    def test_zero_likelihood_pattern_gives_inf(self):
+        weights, at0, at1 = [3.0, 2.0], [0.5, 0.0], [0.25, 0.0]
+        for x in (0.0, 0.3):
+            assert cost(weights, at0, at1, x) == math.inf
+            assert value_along_reference(weights, at0, at1, x) == math.inf
+        assert cost(weights, at0, at0, 0.0) == math.inf
+
+
 class TestDatasetCost:
     def test_two_leaf_cost(self, two_leaf):
         data = DataMatrix.from_columns(2, [(0, 1)])
@@ -156,8 +197,7 @@ class TestModelFacts:
             for ch in all_characters(5):
                 if ch[u - 1] != ch[v - 1]:
                     marginal += char_likelihood_pruning(tree, probs, ch) / 2.0
-            path_edges = _path_edges(tree, tree.leaf_for_label(u),
-                                     tree.leaf_for_label(v))
+            path_edges = _path_edges(tree, u, v)
             prod = 1.0
             for e in path_edges:
                 prod *= 1.0 - 2.0 * probs[e]

@@ -61,12 +61,6 @@ class TestOptimizeEdges:
         _, grid_val = grid_minimum(quartet, padded.padded)
         assert result.value <= grid_val + 1e-6
 
-    def test_grid_fallback_path(self, quartet, quartet_matrix):
-        config = OptimizerConfig(grid_fallback=True)
-        with_grid = optimize_edges(quartet, quartet_matrix, config)
-        plain = optimize_edges(quartet, quartet_matrix)
-        assert with_grid.value <= plain.value + 1e-9
-
     def test_two_leaf_grid_confirms_closed_form(self, two_leaf):
         data = DataMatrix.from_columns(2, [(0, 1)] + [(0, 0)] * 3)
         vec, val = grid_minimum(two_leaf, data)

@@ -49,9 +49,10 @@ class TestValidate:
         tree = Tree(2, [(1, 3), (2, 3)])
         assert any("internal degree-2 vertex" in v for v in validate(tree))
 
-    def test_duplicate_leaf_label(self):
-        tree = Tree(2, [(1, 2)], leaf_labels={1: 1, 2: 1})
-        assert any("labels not bijective" in v for v in validate(tree))
+    def test_nonpositive_vertex_rejected(self):
+        # leaf v is vertex v, so an id below 1 could be mistaken for a leaf
+        with pytest.raises(ValueError, match="not positive"):
+            Tree(3, [(0, 1), (0, 2), (0, 3)])
 
     def test_disconnected(self):
         tree = Tree(4, [(1, 2), (3, 4)])
