@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 Character = tuple[int, ...]
 
-DEFAULT_PAD_CAP = 10_000_000
+# Largest k + N_c: past 2^53, neighbouring counts round to one float weight.
+PAD_LIMIT = 2 ** 53
 
 
 class MatrixFormatError(ValueError):
@@ -30,9 +32,9 @@ class MatrixFormatError(ValueError):
 
 
 class PaddingCapError(ValueError):
-    """Requested padding exceeds the memory cap. Carries the computed size."""
+    """k + N_c past :data:`PAD_LIMIT`. Carries N_c (a float if far past)."""
 
-    def __init__(self, message: str, pad_count: int):
+    def __init__(self, message: str, pad_count: int | float):
         super().__init__(message)
         self.pad_count = pad_count
 
@@ -146,36 +148,43 @@ class PaddedInstance:
             raise ValueError("padded matrix is missing the constant-zero block")
 
 
-def _ceil_power(base: int, exponent: float) -> int:
-    # Exact integer power when the exponent is integral; float pow can land
-    # a hair above an integer and ceil would then overshoot by one.
-    nearest = round(exponent)
-    if abs(exponent - nearest) < 1e-9:
-        return base ** int(nearest)
-    return math.ceil(base ** exponent)
+def _pad(base: DataMatrix, epsilon: float | None, pad_count) -> PaddedInstance:
+    size = max(2 * base.n, base.k)
+    if base.k + pad_count > PAD_LIMIT:
+        raise PaddingCapError(
+            f"padding needs {pad_count} constant sites (M={size}, epsilon="
+            f"{epsilon}): k + N_c is past 2^53, the float-exact limit", pad_count)
+    return PaddedInstance(base, base.with_extra((0,) * base.n, pad_count),
+                          ReductionParams(epsilon, size, pad_count))
 
 
-def _pad(base: DataMatrix, params: ReductionParams) -> PaddedInstance:
-    zero = (0,) * base.n
-    return PaddedInstance(base, base.with_extra(zero, params.pad_count), params)
+def pad_constant_sites(base: DataMatrix, epsilon: float) -> PaddedInstance:
+    """Append N_c = ceil(M^(1/epsilon)) all-zero columns, M = max(2n, k).
 
-
-def pad_constant_sites(base: DataMatrix, epsilon: float,
-                       cap: int = DEFAULT_PAD_CAP) -> PaddedInstance:
-    """Append ceil(M^(1/epsilon)) all-zero columns, M = max(2n, k).
-
-    Refuses (rather than truncating) when the computed count exceeds ``cap``,
-    since a silently smaller pad would change what the verifiers measure.
+    With epsilon = p/q, its shortest decimal in lowest terms, N_c is the
+    least N with N^p >= M^q: exact powers of about 53 p bits correct the
+    float estimate when p < 10^4 (at most four decimals). Larger p (1/3 has
+    p ~ 10^16) keeps the estimate. Refuses (rather than truncating) when
+    k + N_c exceeds :data:`PAD_LIMIT`, since a silently smaller pad would
+    change what the verifiers measure.
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    epsilon = float(epsilon)
     size = max(2 * base.n, base.k)
-    pad_count = _ceil_power(size, 1.0 / epsilon)
-    if pad_count > cap:
-        raise PaddingCapError(
-            f"padding needs {pad_count} constant sites "
-            f"(M={size}, epsilon={epsilon}), above the cap {cap}", pad_count)
-    return _pad(base, ReductionParams(float(epsilon), size, pad_count))
+    log2_count = math.log2(size) / epsilon
+    if log2_count > 54:  # refused on the float estimate, before big powers
+        count = math.inf if log2_count >= 1024 else 2.0 ** log2_count
+        return _pad(base, epsilon, count)
+    count = math.ceil(size ** (1.0 / epsilon))
+    p, q = Fraction(repr(epsilon)).as_integer_ratio()
+    if p < 10_000:
+        target = size ** q
+        while count ** p < target:
+            count += 1
+        while (count - 1) ** p >= target:
+            count -= 1
+    return _pad(base, epsilon, count)
 
 
 def pad_with_count(base: DataMatrix, pad_count: int) -> PaddedInstance:
@@ -186,8 +195,7 @@ def pad_with_count(base: DataMatrix, pad_count: int) -> PaddedInstance:
     """
     if pad_count < 1:
         raise ValueError("pad_count must be >= 1")
-    size = max(2 * base.n, base.k)
-    return _pad(base, ReductionParams(None, size, int(pad_count)))
+    return _pad(base, None, int(pad_count))
 
 
 def random_instance(n: int, k: int, seed: int) -> DataMatrix:

@@ -14,7 +14,7 @@ import sys
 import os
 
 from parsiml import characters, likelihood, mlopt, parsimony, reduction, trees
-from parsiml.reduction import format_cell, jsonable
+from parsiml.reduction import csv_text, format_cell, jsonable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,7 +57,6 @@ def _apply_common_defaults(args) -> None:
         "seed": 0,
         "threads": 1,
         "n_max": _env_int("PARSIML_N_MAX", trees.DEFAULT_TOPOLOGY_CAP),
-        "nc_max": _env_int("PARSIML_NC_MAX", characters.DEFAULT_PAD_CAP),
         "m_min": _env_int("PARSIML_M_MIN", reduction.DEFAULT_M_MIN),
         "timing": False,
     }
@@ -73,7 +72,7 @@ def _apply_common_defaults(args) -> None:
 def build_parser() -> _Parser:
     # Global flags live on a parent parser shared with every subcommand so
     # they are accepted on either side of the subcommand name. Abbreviation
-    # is off: with it, "--n" would prefix-clash with "--n-max"/"--nc-max".
+    # is off: with it, "--n" would prefix-clash with "--n-max".
     # SUPPRESS keeps the subparser pass from clobbering values already
     # parsed by the top-level parser with defaults.
     supp = argparse.SUPPRESS
@@ -89,8 +88,6 @@ def build_parser() -> _Parser:
                              "(default 1)")
     common.add_argument("--n-max", type=int, default=supp,
                         help="leaf cap for exhaustive enumeration")
-    common.add_argument("--nc-max", type=int, default=supp,
-                        help="cap on the number of padding columns")
     common.add_argument("--m-min", type=int, default=supp,
                         help="instance size below which failed size-conditioned "
                              "bounds grade as inconclusive")
@@ -177,9 +174,11 @@ def _emit_payload(args, payload: dict, text_lines: list[str]) -> None:
         _emit(args, json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
         keys = sorted(payload)
-        head = ",".join(keys)
-        row = ",".join(str(format_cell(payload[key])) for key in keys)
-        _emit(args, head + "\n" + row + "\n")
+        # a list cell is written as its JSON text
+        cells = [json.dumps(jsonable(payload[key]))
+                 if isinstance(payload[key], list) else format_cell(payload[key])
+                 for key in keys]
+        _emit(args, csv_text(keys, cells))
     else:
         _emit(args, "\n".join(text_lines) + "\n")
 
@@ -193,11 +192,8 @@ def _cmd_gen(args) -> int:
 def _cmd_pad(args) -> int:
     base = characters.parse_matrix(_read(args.matrix))
     if args.epsilon is not None:
-        padded = characters.pad_constant_sites(base, args.epsilon,
-                                               cap=args.nc_max)
+        padded = characters.pad_constant_sites(base, args.epsilon)
     else:
-        if args.nc > args.nc_max:
-            raise UsageError(f"--nc {args.nc} exceeds the cap {args.nc_max}")
         padded = characters.pad_with_count(base, args.nc)
     params = padded.params
     if args.format == "json":
@@ -281,18 +277,15 @@ def _cmd_verify(args) -> int:
         config = mlopt.OptimizerConfig(seed=args.seed, restarts=args.restarts)
         report = reduction.verify_prop1_chain(
             matrix, args.epsilon, config, m_min=args.m_min, cap=args.n_max,
-            pad_cap=args.nc_max, n_jobs=args.threads)
+            n_jobs=args.threads)
     else:
         if not args.tree:
             raise UsageError(f"verify {args.check} requires --tree")
         tree = trees.parse_newick(_read(args.tree))
         if args.nc is not None:
-            if args.nc > args.nc_max:
-                raise UsageError(f"--nc {args.nc} exceeds the cap {args.nc_max}")
             padded = characters.pad_with_count(matrix, args.nc)
         elif args.epsilon is not None:
-            padded = characters.pad_constant_sites(matrix, args.epsilon,
-                                                   cap=args.nc_max)
+            padded = characters.pad_constant_sites(matrix, args.epsilon)
         else:
             raise UsageError(f"verify {args.check} requires --epsilon or --nc")
         if args.check == "claim1":

@@ -184,11 +184,15 @@ def modified_loglik(tree: Tree, probs: EdgeProbs, data: DataMatrix) -> float:
     """Dataset cost: -sum of N_chi * ln f_chi, always >= 0, +inf allowed.
 
     Patterns are visited in their stored (sorted) order so repeated runs sum
-    in the same order and reports reproduce bit for bit.
+    in the same order and reports reproduce bit for bit. Raises ValueError
+    on underflow: a pattern value of 0.0 although every p_e > 0.
     """
     if data.n != tree.n:
         raise ValueError(f"matrix has {data.n} leaves, tree has {tree.n}")
     values = pattern_likelihoods(tree, probs, [ch for ch, _ in data.patterns])
+    if 0.0 in values and min(probs.vector(tree)) > 0.0:
+        raise ValueError("likelihood underflow: a pattern likelihood is 0.0 "
+                         "in double precision although every p_e > 0")
     return cost([mult for _, mult in data.patterns], values, values, 0.0)
 
 

@@ -53,6 +53,12 @@ class OptimizerConfig:
     restarts: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.tol > 0:  # also refuses NaN
+            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+
 
 @dataclass
 class MLResult:
@@ -159,7 +165,7 @@ def _starting_points(tree: Tree, data: DataMatrix, config: OptimizerConfig,
     rng = np.random.default_rng(config.seed if seed is None else seed)
     while len(starts) < config.restarts:
         starts.append([float(x) for x in rng.uniform(0.0, 0.5, n_edges)])
-    return starts[:max(1, config.restarts)]
+    return starts[:config.restarts]
 
 
 def grid_minimum(tree: Tree, data: DataMatrix, initial_step: float = 0.125,

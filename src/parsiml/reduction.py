@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from parsiml.characters import (DEFAULT_PAD_CAP, DataMatrix, PaddedInstance,
-                                is_constant, pad_constant_sites)
+from parsiml.characters import (DataMatrix, PaddedInstance, is_constant,
+                                pad_constant_sites)
 from parsiml.likelihood import EdgeProbs, modified_loglik, pattern_likelihoods
 from parsiml.mlopt import OptimizerConfig, ml_search, optimize_edges
 from parsiml.parsimony import fitch_score, mp_search, parsimony_score
@@ -168,8 +168,6 @@ class VerifierReport:
                           indent=2) + "\n"
 
     def to_csv_row(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         row = {
             "check": self.check, "instance": self.instance,
             "epsilon": self.epsilon, "M": self.size, "N_c": self.pad_count,
@@ -178,8 +176,7 @@ class VerifierReport:
             "verdict": self.verdict, "trials": self.trials,
             "seed": self.seed, "runtime_ms": self.runtime_ms,
         }
-        writer.writerow(format_cell(row[name]) for name in CSV_FIELDS)
-        return buf.getvalue()
+        return csv_text([format_cell(row[name]) for name in CSV_FIELDS])
 
     def to_text(self) -> str:
         lines = [
@@ -200,6 +197,12 @@ class VerifierReport:
 
 def _direction_glyph(direction: str) -> str:
     return "<=" if direction == "lhs<=bound" else ">="
+
+
+def csv_text(*rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def format_cell(value):
@@ -342,6 +345,8 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
     gap. Vacuous when p_bar >= 1/2, since no admissible vector can cross
     the threshold.
     """
+    if trials < 1:
+        raise ValueError(f"claim2 needs trials >= 1, got {trials}")
     started = time.perf_counter()
     qty = quantities_for(tree, padded)
     if qty.score == 0:
@@ -398,6 +403,8 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
     must reach (1 - 5 eps) l; when it does not, the verdict degrades to
     inconclusive only if the instance is below the size threshold.
     """
+    if trials < 0:
+        raise ValueError(f"claim3 needs trials >= 0, got {trials}")
     started = time.perf_counter()
     epsilon = padded.params.epsilon if epsilon is None else epsilon
     if epsilon is None:
@@ -464,7 +471,6 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
                        config: OptimizerConfig | None = None,
                        m_min: int = DEFAULT_M_MIN,
                        cap: int = DEFAULT_TOPOLOGY_CAP,
-                       pad_cap: int | None = None,
                        n_jobs: int = 1) -> VerifierReport:
     """End-to-end reduction experiment with exact search standing in for a
     hypothetical approximation algorithm (ratio 1 + c with c = 0).
@@ -485,10 +491,9 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
     """
     started = time.perf_counter()
     config = config or OptimizerConfig()
-    pad_cap = DEFAULT_PAD_CAP if pad_cap is None else pad_cap
 
     best_score, mp_optima = mp_search(base, cap=cap, n_jobs=n_jobs)
-    padded = pad_constant_sites(base, epsilon, cap=pad_cap)
+    padded = pad_constant_sites(base, epsilon)
     qty = ReductionQuantities(best_score, 2 * base.n - 3, padded.padded.k,
                               padded.params.pad_count)
     instance = f"n={base.n} k={base.k} N_c={padded.params.pad_count}"

@@ -118,6 +118,7 @@ class Tree:
         Returns a tuple of ``(vertex, children)`` pairs in postorder, where
         ``children`` is a tuple of ``(child_vertex, edge_index)``. Cached per
         anchor; the plan is shared by the scoring and likelihood code.
+        Raises ValueError on a cycle or a vertex the walk cannot reach.
         """
         if anchor is None:
             anchor = self.canonical_root()
@@ -131,9 +132,11 @@ class Tree:
             v = stack.pop()
             preorder.append(v)
             for w in self._adj[v]:
-                if w != parent[v]:
+                if w not in parent:
                     parent[w] = v
                     stack.append(w)
+        if len(self.edges) != len(preorder) - 1:  # a cycle or an unreached part
+            raise ValueError("the edges do not form one tree")
         children: dict[int, list] = {v: [] for v in preorder}
         for v in preorder:
             p = parent[v]
@@ -220,16 +223,15 @@ def canonical_newick(tree: Tree) -> str:
     if tree.n == 2:
         tree._canonical = "(1,2);"
         return tree._canonical
-
-    def subtree(v: int, parent: int) -> tuple[int, str]:
+    # (smallest leaf, text) per vertex along the plan: no recursion depth
+    sub: dict[int, tuple[int, str]] = {}
+    for v, children in tree.rooted_plan():
         if tree.is_leaf(v):
-            return v, str(v)
-        parts = sorted(subtree(w, v) for w in tree.neighbors(v) if w != parent)
-        return parts[0][0], "(" + ",".join(p[1] for p in parts) + ")"
-
-    root = tree.canonical_root()
-    parts = sorted(subtree(w, root) for w in tree.neighbors(root))
-    text = "(" + ",".join(p[1] for p in parts) + ");"
+            sub[v] = (v, str(v))
+            continue
+        parts = sorted(sub[c] for c, _ in children)
+        sub[v] = (parts[0][0], "(" + ",".join(p[1] for p in parts) + ")")
+    text = sub[tree.canonical_root()][1] + ";"
     tree._canonical = text
     return text
 
@@ -245,7 +247,7 @@ def parse_newick(text: str) -> Tree:
     Labels must be exactly 1..n for n = number of leaves. A root written
     with two children (the usual serialization of an unrooted binary tree)
     is spliced away so no degree-2 vertex survives. Multifurcations are
-    allowed anywhere.
+    allowed anywhere. One pass with an explicit stack: depth is unbounded.
     """
     pos = 0
     end = len(text)
@@ -258,33 +260,43 @@ def parse_newick(text: str) -> Tree:
     def fail(message: str):
         raise NewickError(message, pos)
 
-    def parse_node():
-        nonlocal pos
+    labels: list[int] = []
+    # a leaf is its label (>= 0); the j-th group to close is -j, later n + j
+    edges: list[Edge] = []
+    open_groups: list[list[int]] = []
+    groups = 0
+    while True:
         skip_ws()
         if pos >= end:
             fail("unexpected end of input")
         if text[pos] == "(":
             pos += 1
-            children = [parse_node()]
-            skip_ws()
-            while pos < end and text[pos] == ",":
-                pos += 1
-                children.append(parse_node())
-                skip_ws()
-            if pos >= end or text[pos] != ")":
-                fail("expected ',' or ')'")
-            pos += 1
-            if len(children) < 2:
-                fail("group with a single child")
-            return children
+            open_groups.append([])
+            continue
         start = pos
         while pos < end and text[pos].isdigit():
             pos += 1
         if pos == start:
             fail(f"expected a leaf label or '(', found {text[pos]!r}")
-        return int(text[start:pos])
-
-    root = parse_node()
+        node = int(text[start:pos])
+        labels.append(node)
+        while open_groups:
+            open_groups[-1].append(node)
+            skip_ws()
+            if pos < end and text[pos] == ",":
+                pos += 1
+                break
+            if pos >= end or text[pos] != ")":
+                fail("expected ',' or ')'")
+            pos += 1
+            children = open_groups.pop()
+            if len(children) < 2:
+                fail("group with a single child")
+            groups += 1
+            node = -groups
+            edges.extend((c, node) for c in children)
+        else:
+            break  # no group left open: the root is complete
     skip_ws()
     if pos >= end or text[pos] != ";":
         fail("expected ';'")
@@ -292,19 +304,9 @@ def parse_newick(text: str) -> Tree:
     skip_ws()
     if pos != end:
         fail(f"trailing content after ';': {text[pos:].strip()!r}")
-    if isinstance(root, int):
+    if node >= 0:
         raise NewickError("a tree needs at least two leaves")
 
-    labels: list[int] = []
-
-    def collect(node):
-        if isinstance(node, int):
-            labels.append(node)
-        else:
-            for child in node:
-                collect(child)
-
-    collect(root)
     n = len(labels)
     seen: set[int] = set()
     for lab in labels:
@@ -315,29 +317,11 @@ def parse_newick(text: str) -> Tree:
         if not 1 <= lab <= n:
             raise NewickError(f"unknown label {lab}: labels must be 1..{n}")
 
-    edges: list[Edge] = []
-    next_internal = n + 1
-
-    def build(node) -> int:
-        nonlocal next_internal
-        if isinstance(node, int):
-            return node
-        child_ids = [build(c) for c in node]
-        vid = next_internal
-        next_internal += 1
-        for c in child_ids:
-            edges.append((c, vid))
-        return vid
-
-    root_id = build(root)
-    root_edges = [e for e in edges if root_id in e]
-    if len(root_edges) == 2:
-        # splice the degree-2 root away
-        (a,) = [v for v in root_edges[0] if v != root_id]
-        (b,) = [v for v in root_edges[1] if v != root_id]
-        edges = [e for e in edges if root_id not in e]
-        edges.append((a, b))
-    return Tree(n, edges)
+    if len(children) == 2:
+        # splice the degree-2 root away; its two edges were added last
+        edges[-2:] = [tuple(children)]
+    return Tree(n, [(u if u > 0 else n - u, v if v > 0 else n - v)
+                    for u, v in edges])
 
 
 def enumerate_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP):

@@ -1,4 +1,7 @@
+import math
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +11,26 @@ from parsiml import (DataMatrix, MatrixFormatError, PaddingCapError,
                      complement, is_constant, pad_constant_sites,
                      pad_with_count, parse_matrix, random_instance,
                      write_matrix)
+from parsiml.characters import PAD_LIMIT
 
 characters = st.integers(1, 8).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple))
+
+
+def _least_root(size: int, eps: float) -> int:
+    """Least N with N^p >= size^q for eps = p/q, by integer bisection."""
+    ratio = Fraction(repr(eps))
+    p, target = ratio.numerator, size ** ratio.denominator
+    lo, hi = 1, 2
+    while hi ** p < target:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** p >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class TestCharacterOps:
@@ -83,10 +103,57 @@ class TestPadding:
         assert padded.padded.k == base.k + 8
 
     def test_cap_refusal_reports_size(self, quartet_matrix):
+        # M = 8, epsilon = 7/125: N_c = ceil(2^(375/7)) ~ 2^53.57, formed
+        # exactly, then refused since k + N_c > 2^53
         with pytest.raises(PaddingCapError) as err:
-            pad_constant_sites(quartet_matrix, 0.25, cap=1000)
-        assert err.value.pad_count == 8 ** 4
-        assert "4096" in str(err.value)
+            pad_constant_sites(quartet_matrix, 0.056)
+        expected = _least_root(8, 0.056)
+        assert expected > 2 ** 53
+        assert err.value.pad_count == expected
+        assert str(expected) in str(err.value)
+        # far past the limit the float estimate is refused as it stands
+        with pytest.raises(PaddingCapError) as err:
+            pad_constant_sites(quartet_matrix, 0.05)
+        assert err.value.pad_count == 2.0 ** 60
+
+    def test_pad_count_is_exact(self):
+        # every M in 2..300 (one leaf, k = M) against the integer oracle;
+        # refused exactly where k + N_c passes 2^53
+        grid = [0.1, 0.12, 0.15] + [j / 20 for j in range(4, 21)]
+        for size in range(2, 301):
+            base = DataMatrix(1, (((0,), 1), ((1,), size - 1)))
+            for eps in grid:
+                expected = _least_root(size, eps)
+                if size + expected > PAD_LIMIT:
+                    with pytest.raises(PaddingCapError):
+                        pad_constant_sites(base, eps)
+                else:
+                    got = pad_constant_sites(base, eps).params.pad_count
+                    assert got == expected, (size, eps)
+
+    @pytest.mark.parametrize("size,eps,pad", [
+        (8, 0.6, 32),
+        (64, 0.15, 2 ** 40),
+        (42, 0.12, 33657156332705),
+    ])
+    def test_pinned_pad_counts(self, size, eps, pad):
+        base = DataMatrix(1, (((0,), 1), ((1,), size - 1)))
+        assert pad_constant_sites(base, eps).params.pad_count == pad
+
+    def test_inexact_epsilon_keeps_float_estimate(self):
+        # 1/3 reads as p/q with p ~ 10^16: no exact powers, answer at once
+        base = DataMatrix(1, (((0,), 1), ((1,), 39)))
+        started = time.monotonic()
+        padded = pad_constant_sites(base, 1 / 3)
+        assert time.monotonic() - started < 1.0
+        assert padded.params.pad_count == math.ceil(40 ** (1 / (1 / 3)))
+
+    def test_explicit_count_limit(self, quartet_matrix):
+        padded = pad_with_count(quartet_matrix, PAD_LIMIT - quartet_matrix.k)
+        assert padded.padded.k == 2 ** 53
+        with pytest.raises(PaddingCapError) as err:
+            pad_with_count(quartet_matrix, PAD_LIMIT - quartet_matrix.k + 1)
+        assert err.value.pad_count == 2 ** 53 - 1
 
     def test_epsilon_domain(self, quartet_matrix):
         for bad in (0.0, -0.5, 1.5):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -73,6 +75,34 @@ class TestSearch:
         assert "--threads" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("verb", [["search-mp"], ["search-ml"],
+                                      ["enumerate", "--n", "5"]],
+                             ids=["search-mp", "search-ml", "enumerate"])
+    def test_csv_list_cells_parse(self, workdir, verb):
+        args = verb if verb[0] == "enumerate" else \
+            verb + ["--matrix", str(workdir / "x.mat")]
+        proc = run_cli("--format", "csv", *args)
+        assert proc.returncode == 0
+        head, row = list(csv.reader(io.StringIO(proc.stdout)))
+        assert len(head) == len(row)
+        payload = json.loads(run_cli("--format", "json", *args).stdout)
+        assert sorted(payload) == head
+        lists = [key for key in head if isinstance(payload[key], list)]
+        assert lists
+        for key in lists:
+            assert json.loads(row[head.index(key)]) == payload[key]
+
+    @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "nan"),
+                                            ("--restarts", "0"),
+                                            ("--restarts", "-2")])
+    def test_bad_optimizer_settings_refused(self, workdir, flag, value):
+        proc = run_cli("search-ml", "--matrix", str(workdir / "x.mat"),
+                       flag, value)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert flag.lstrip("-") in proc.stderr
+
     def test_threads_flag_does_not_change_output(self, workdir):
         serial = run_cli("--format", "json", "search-mp",
                          "--matrix", str(workdir / "x.mat"))
@@ -104,12 +134,23 @@ class TestGeneratePad:
         assert proc.returncode == 0
         assert "N_c=10" in proc.stdout
 
-    def test_pad_over_cap(self, workdir):
-        proc = run_cli("--nc-max", "10", "pad",
-                       "--matrix", str(workdir / "x.mat"),
-                       "--epsilon", "0.5")
+    @pytest.mark.parametrize("verb", ["pad", "verify"])
+    def test_nc_past_float_limit(self, workdir, verb):
+        # the matrix has k = 2, so k + N_c = 2^53 + 1
+        extra = (["claim1", "--tree", str(workdir / "t.nwk"),
+                  "--epsilon", "0.5"] if verb == "verify" else [])
+        proc = run_cli(verb, *extra, "--matrix", str(workdir / "x.mat"),
+                       "--nc", str(2 ** 53 - 1))
         assert proc.returncode == 1
-        assert "cap" in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "2^53" in proc.stderr
+
+    def test_help_lists_no_pad_cap(self):
+        for argv in (["--help"], ["pad", "--help"], ["verify", "--help"]):
+            proc = run_cli(*argv)
+            assert proc.returncode == 0
+            assert "--nc-max" not in proc.stdout
 
 
 class TestEnumerate:
@@ -123,8 +164,7 @@ class TestEnumerate:
         assert proc.returncode == 1
         assert "cap" in proc.stderr
 
-    @pytest.mark.parametrize("name", ["PARSIML_N_MAX", "PARSIML_NC_MAX",
-                                      "PARSIML_M_MIN"])
+    @pytest.mark.parametrize("name", ["PARSIML_N_MAX", "PARSIML_M_MIN"])
     def test_malformed_env_is_one_line_error(self, name):
         env = dict(os.environ, **{name: "abc"})
         proc = run_cli("enumerate", "--n", "4", env=env)
@@ -184,12 +224,45 @@ class TestVerify:
         payload = json.loads(proc.stdout)
         assert payload["details"]["is_mp_optimum"] is True
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_claim2_without_trials_refused(self, workdir, trials):
+        proc = run_cli("verify", "claim2",
+                       "--matrix", str(workdir / "x.mat"),
+                       "--tree", str(workdir / "t.nwk"),
+                       "--epsilon", "0.5", "--trials", trials)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "trials" in proc.stderr
+
     def test_claim_requires_tree(self, workdir):
         proc = run_cli("verify", "claim2",
                        "--matrix", str(workdir / "x.mat"),
                        "--epsilon", "0.5")
         assert proc.returncode == 1
         assert "--tree" in proc.stderr
+
+
+class TestPaperRegime:
+    """epsilon = 0.15 < 0.2 on a 16-leaf caterpillar with M = 32, where
+    N_c = 10,822,639,410 (least N with N^3 >= 32^20)."""
+
+    CATERPILLAR = "(1,2,(3,(4,(5,(6,(7,(8,(9,(10,(11,(12,(13,(14,(15,16))))))))))))));\n"
+
+    @pytest.mark.parametrize("check", [["claim1"], ["claim2", "--trials", "200"],
+                                       ["claim3", "--trials", "50"]],
+                             ids=["claim1", "claim2", "claim3"])
+    def test_claims_reach_the_asserted_regime(self, tmp_path, check):
+        matrix = run_cli("gen", "--n", "16", "--k", "32", "--seed", "0").stdout
+        (tmp_path / "x.mat").write_text(matrix)
+        (tmp_path / "t.nwk").write_text(self.CATERPILLAR)
+        proc = run_cli("--format", "json", "verify", *check,
+                       "--matrix", str(tmp_path / "x.mat"),
+                       "--tree", str(tmp_path / "t.nwk"), "--epsilon", "0.15")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["quantities"]["N_c"] == 10822639410
+        assert payload["preconditions_met"] is True
 
 
 class TestErrorPaths:
@@ -211,6 +284,19 @@ class TestErrorPaths:
                        "--matrix", str(workdir / "bad.mat"))
         assert proc.returncode == 1
         assert "line 2" in proc.stderr
+
+    def test_deep_newick_scores(self, tmp_path):
+        n = 3000
+        text = str(n)
+        for leaf in range(n - 1, 0, -1):
+            text = f"({leaf},{text})"
+        (tmp_path / "deep.nwk").write_text(text + ";\n")
+        (tmp_path / "deep.mat").write_text(
+            run_cli("gen", "--n", str(n), "--k", "2").stdout)
+        proc = run_cli("score-mp", "--tree", str(tmp_path / "deep.nwk"),
+                       "--matrix", str(tmp_path / "deep.mat"))
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout.startswith("l(X,T) = ")
 
     def test_no_subcommand(self):
         proc = run_cli()

@@ -154,6 +154,18 @@ class TestDatasetCost:
         probs = EdgeProbs.uniform(quartet, 0.0)
         assert modified_loglik(quartet, probs, data) == math.inf
 
+    def test_underflow_raises(self, quartet):
+        # two flips at p = 1e-200: the true value ~ 2e-400 rounds to 0.0
+        data = DataMatrix.from_columns(4, [(0, 1, 0, 1)])
+        probs = EdgeProbs.uniform(quartet, 1e-200)
+        with pytest.raises(ValueError, match="underflow"):
+            modified_loglik(quartet, probs, data)
+        # one zero edge makes a zero exact, so the cost stays +inf
+        vec = [1e-200] * 5
+        vec[0] = 0.0
+        probs = EdgeProbs.from_vector(quartet, vec)
+        assert modified_loglik(quartet, probs, data) == math.inf
+
     def test_additivity(self, quartet):
         rng = np.random.default_rng(5)
         probs = random_probs(quartet, rng)

@@ -49,6 +49,19 @@ class TestOptimizeEdges:
         assert result.start_values
         assert all(result.value <= sv + 1e-12 for sv in result.start_values)
 
+    @pytest.mark.parametrize("field,value", [("tol", 0.0), ("tol", -1.0),
+                                             ("tol", math.nan),
+                                             ("restarts", 0),
+                                             ("restarts", -2)])
+    def test_bad_config_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+
+    def test_single_restart(self, quartet, quartet_matrix):
+        result = optimize_edges(quartet, quartet_matrix,
+                                OptimizerConfig(restarts=1))
+        assert len(result.start_values) == 1
+
     def test_deterministic(self, quartet, quartet_matrix):
         a = optimize_edges(quartet, quartet_matrix, OptimizerConfig(seed=4))
         b = optimize_edges(quartet, quartet_matrix, OptimizerConfig(seed=4))

@@ -10,6 +10,8 @@ from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig,
                      verify_claim3, verify_prop1_chain)
 from parsiml.parsimony import mp_search
 
+from conftest import caterpillar
+
 
 @pytest.fixture
 def quartet_padded(quartet_matrix):
@@ -115,6 +117,11 @@ class TestClaim2:
         assert report.trials == 0
         assert report.margin == math.inf
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_refused(self, quartet, quartet_padded, trials):
+        with pytest.raises(ValueError, match="trials"):
+            verify_claim2(quartet_padded, quartet, trials=trials)
+
     def test_seed_reproducible(self, quartet, quartet_padded):
         a = verify_claim2(quartet_padded, quartet, trials=50, seed=5)
         b = verify_claim2(quartet_padded, quartet, trials=50, seed=5)
@@ -144,12 +151,41 @@ class TestClaim3:
         assert report.lhs < report.bound
         assert not report.preconditions_met
 
+    def test_negative_trials_refused(self, quartet, quartet_padded):
+        with pytest.raises(ValueError, match="trials"):
+            verify_claim3(quartet_padded, quartet, trials=-1)
+        assert verify_claim3(quartet_padded, quartet, trials=0).verdict == "pass"
+
     def test_degenerate_all_constant(self, quartet):
         base = DataMatrix.from_columns(4, [(1, 1, 1, 1)])
         padded = pad_constant_sites(base, 0.5)
         report = verify_claim3(padded, quartet)
         assert report.verdict == "pass"
         assert "degenerate" in report.note
+
+
+class TestUnderflow:
+    """64 leaves at epsilon = 0.15: N_c ~ 1.1e14 fits under 2^53, but the
+    canonical q makes pattern likelihoods underflow to 0.0."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        padded = pad_constant_sites(random_instance(64, 128, 0), 0.15)
+        return caterpillar(64), padded
+
+    def test_claim1_names_the_underflow(self, instance):
+        tree, padded = instance
+        with pytest.raises(ValueError, match="underflow"):
+            verify_claim1(padded, tree)
+
+    def test_claim3_names_the_underflow(self, instance):
+        tree, padded = instance
+        with pytest.raises(ValueError, match="underflow"):
+            verify_claim3(padded, tree, trials=5)
+
+    def test_claim2_still_passes(self, instance):
+        tree, padded = instance
+        assert verify_claim2(padded, tree, trials=50).verdict == "pass"
 
 
 class TestProp1Chain:

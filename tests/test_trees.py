@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +62,24 @@ class TestValidate:
         problems = validate(tree)
         assert any("not connected" in v for v in problems)
         assert any("edge count" in v for v in problems)
+
+    @pytest.mark.parametrize("n,edges", [
+        (3, [(1, 4), (2, 4), (3, 5), (4, 5), (5, 6), (4, 6)]),
+        (4, [(1, 5), (2, 5), (3, 6), (4, 6)]),
+    ], ids=["cycle", "disconnected"])
+    def test_traversal_refuses_non_tree(self, n, edges):
+        # in a child process with a timeout: a cycle once made the
+        # traversal loop forever
+        code = (f"from parsiml import Tree, fitch_score\n"
+                f"tree = Tree({n}, {edges})\n"
+                f"try:\n"
+                f"    fitch_score(tree, (0,) * {n})\n"
+                f"except ValueError as exc:\n"
+                f"    print('refused:', exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=20)
+        assert proc.stdout.startswith("refused:"), proc.stderr
+        assert "one tree" in proc.stdout
 
     def test_leaf_with_wrong_degree(self):
         # leaf 3 sits in the middle of a path
@@ -153,6 +174,22 @@ class TestNewick:
     def test_unknown_label(self):
         with pytest.raises(NewickError, match="unknown label 7"):
             parse_newick("((1,2),(3,7));")
+
+    def test_deep_caterpillar_round_trip(self):
+        n = 3000
+        text = str(n)
+        for leaf in range(n - 1, 0, -1):
+            text = f"({leaf},{text})"
+        tree = parse_newick(text + ";")
+        assert tree.n == n and edge_count(tree) == 2 * n - 3
+        canon = canonical_newick(tree)
+        assert canon == canonical_newick(caterpillar(n))
+        assert canonical_newick(parse_newick(canon)) == canon
+
+    def test_internal_ids_follow_group_closing_order(self):
+        tree = parse_newick("((1,2),((3,4),5),6);")
+        assert tree.edges == ((1, 7), (2, 7), (3, 8), (4, 8), (5, 9), (6, 10),
+                              (7, 10), (8, 9), (9, 10))
 
     def test_whitespace_tolerated(self):
         tree = parse_newick(" ( ( 1 , 2 ) , ( 3 , 4 ) ) ; ")
