@@ -12,7 +12,8 @@ from parsiml.characters import (Character, DataMatrix, MatrixFormatError,
                                 parse_matrix, random_instance, write_matrix)
 from parsiml.likelihood import (EdgeProbs, char_likelihood_exhaustive,
                                 char_likelihood_pruning, modified_loglik,
-                                parse_probs, pattern_likelihoods, write_probs)
+                                parse_probs, pattern_likelihoods,
+                                pattern_log_likelihoods, write_probs)
 from parsiml.mlopt import (MLResult, OptimizerConfig, golden_section_minimize,
                            grid_minimum, ml_search, optimize_edges)
 from parsiml.parsimony import (brute_force_score, fitch_score, mp_search,
@@ -34,7 +35,8 @@ __all__ = [
     "pad_constant_sites", "pad_with_count", "parse_matrix", "random_instance",
     "write_matrix",
     "EdgeProbs", "char_likelihood_exhaustive", "char_likelihood_pruning",
-    "modified_loglik", "parse_probs", "pattern_likelihoods", "write_probs",
+    "modified_loglik", "parse_probs", "pattern_likelihoods",
+    "pattern_log_likelihoods", "write_probs",
     "MLResult", "OptimizerConfig", "golden_section_minimize", "grid_minimum",
     "ml_search", "optimize_edges",
     "brute_force_score", "fitch_score", "mp_search", "parsimony_score",

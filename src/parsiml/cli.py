@@ -84,7 +84,8 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=supp,
                         help="seed for all randomness (default 0)")
     common.add_argument("--threads", type=int, default=supp,
-                        help="worker cap for topology sweeps, 1..CPU count "
+                        help="worker cap for the likelihood search "
+                             "(search-ml, verify prop1), 1..CPU count "
                              "(default 1)")
     common.add_argument("--n-max", type=int, default=supp,
                         help="leaf cap for exhaustive enumeration")
@@ -128,7 +129,8 @@ def build_parser() -> _Parser:
     score_ml.add_argument("--probs", required=True,
                           help="sidecar file with one 'u v p' line per edge")
 
-    search_mp = subcommand("search-mp", help="exhaustive flip-score search")
+    search_mp = subcommand("search-mp",
+                           help="exact flip-score search (branch and bound)")
     search_mp.add_argument("--matrix", required=True)
 
     search_ml = subcommand("search-ml", help="exhaustive likelihood search")
@@ -185,7 +187,10 @@ def _emit_payload(args, payload: dict, text_lines: list[str]) -> None:
 
 def _cmd_gen(args) -> int:
     matrix = characters.random_instance(args.n, args.k, args.seed)
-    _emit(args, characters.write_matrix(matrix, compressed=args.compressed))
+    text = characters.write_matrix(matrix, compressed=args.compressed)
+    _emit_payload(args, {"n": args.n, "k": args.k, "seed": args.seed,
+                         "matrix": text},
+                  text.splitlines())
     return EXIT_OK
 
 
@@ -196,18 +201,14 @@ def _cmd_pad(args) -> int:
     else:
         padded = characters.pad_with_count(base, args.nc)
     params = padded.params
-    if args.format == "json":
-        payload = {"n": base.n, "k_base": base.k, "k_padded": padded.padded.k,
-                   "epsilon": params.epsilon, "M": params.size,
-                   "N_c": params.pad_count,
-                   "matrix": characters.write_matrix(padded.padded,
-                                                     compressed=True)}
-        _emit(args, json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n")
-    else:
-        header = (f"# padded: M={params.size} N_c={params.pad_count} "
-                  f"epsilon={format_cell(params.epsilon)}\n")
-        _emit(args, header + characters.write_matrix(padded.padded,
-                                                     compressed=True))
+    text = characters.write_matrix(padded.padded, compressed=True)
+    header = (f"# padded: M={params.size} N_c={params.pad_count} "
+              f"epsilon={format_cell(params.epsilon)}")
+    _emit_payload(args, {"n": base.n, "k_base": base.k,
+                         "k_padded": padded.padded.k,
+                         "epsilon": params.epsilon, "M": params.size,
+                         "N_c": params.pad_count, "matrix": text},
+                  [header] + text.splitlines())
     return EXIT_OK
 
 
@@ -234,8 +235,7 @@ def _cmd_score_ml(args) -> int:
 
 def _cmd_search_mp(args) -> int:
     matrix = characters.parse_matrix(_read(args.matrix))
-    score, optima = parsimony.mp_search(matrix, cap=args.n_max,
-                                        n_jobs=args.threads)
+    score, optima = parsimony.mp_search(matrix, cap=args.n_max)
     newicks = [trees.canonical_newick(t) for t in optima]
     _emit_payload(args, {"score": score, "optima": newicks,
                          "count": len(newicks)},

@@ -11,7 +11,8 @@ is the non-negative number
 
 carried in log space so multiplicities in the millions never touch a power.
 A pattern with zero likelihood (possible once some p_e = 0) makes the cost
-+inf, which compares correctly against every finite value.
++inf, which compares correctly against every finite value; a pattern value
+that merely underflows is recomputed in log space and stays finite.
 
 Two evaluators are provided on purpose: a term-by-term exhaustive sum and a
 dynamic program over the tree. They share nothing but the model definition,
@@ -21,11 +22,13 @@ so agreement between them is evidence, not tautology.
 from __future__ import annotations
 
 import math
+import sys
 
 from parsiml.characters import DataMatrix
 from parsiml.trees import Edge, Tree, _normalize_edge
 
 EXHAUSTIVE_CAP = 24
+_NORMAL_MIN = sys.float_info.min  # below it a double is subnormal or zero
 
 
 class EdgeProbs:
@@ -180,20 +183,79 @@ def cost(weights, at0, at1, x: float) -> float:
     return total if total > 0.0 else 0.0
 
 
+def _log_add(a: float, b: float) -> float:
+    """ln(e^a + e^b) without leaving the log domain; -inf is an exact zero."""
+    if a < b:
+        a, b = b, a
+    if a == -math.inf:
+        return a
+    return a + math.log1p(math.exp(b - a))
+
+
+def _log_pattern_value(plan, vec, ch) -> float:
+    """ln of one pattern's likelihood: :func:`_pattern_value` carried in logs.
+
+    Every vertex holds ln of its pair, so no value leaves the double range
+    however small the likelihood (rescaling the linear pair instead still
+    rounds p * c to 0.0 when p is subnormal), and only an impossible
+    pattern gets -inf.
+    """
+    down: dict[int, tuple[float, float]] = {}
+    root = plan[-1][0]
+    for v, children in plan:
+        if not children:
+            down[v] = (0.0, -math.inf) if ch[v - 1] == 0 else (-math.inf, 0.0)
+            continue
+        like0 = like1 = 0.0
+        for c, ei in children:
+            c0, c1 = down[c]
+            flip = math.log(vec[ei]) if vec[ei] > 0.0 else -math.inf
+            stay = math.log1p(-vec[ei])
+            like0 += _log_add(stay + c0, flip + c1)
+            like1 += _log_add(flip + c0, stay + c1)
+        down[v] = (like0, like1)
+    like0, like1 = down[root]
+    if root <= len(ch):
+        return like0 if ch[root - 1] == 0 else like1
+    return _log_add(like0, like1)
+
+
+def pattern_log_likelihoods(tree: Tree, probs: EdgeProbs,
+                            patterns) -> list[float]:
+    """ln f of each pattern; -inf for a pattern some p_e = 0 rules out.
+
+    A value below the normal double range (0.0, or a subnormal with too few
+    digits left) may be an underflow rather than an impossible pattern, so
+    its ln f is recomputed in log space, which tells the two apart.
+    """
+    vec = probs.vector(tree)
+    plan = tree.rooted_plan()
+    logs = []
+    for ch in patterns:
+        ch = tuple(ch)
+        f = _pattern_value(plan, vec, ch)
+        logs.append(math.log(f) if f >= _NORMAL_MIN
+                    else _log_pattern_value(plan, vec, ch))
+    return logs
+
+
 def modified_loglik(tree: Tree, probs: EdgeProbs, data: DataMatrix) -> float:
     """Dataset cost: -sum of N_chi * ln f_chi, always >= 0, +inf allowed.
 
     Patterns are visited in their stored (sorted) order so repeated runs sum
-    in the same order and reports reproduce bit for bit. Raises ValueError
-    on underflow: a pattern value of 0.0 although every p_e > 0.
+    in the same order and reports reproduce bit for bit. An underflowed
+    pattern value (see :func:`pattern_log_likelihoods`) does not make the
+    cost +inf: its ln f comes from log space, so the cost stays finite.
     """
     if data.n != tree.n:
         raise ValueError(f"matrix has {data.n} leaves, tree has {tree.n}")
-    values = pattern_likelihoods(tree, probs, [ch for ch, _ in data.patterns])
-    if 0.0 in values and min(probs.vector(tree)) > 0.0:
-        raise ValueError("likelihood underflow: a pattern likelihood is 0.0 "
-                         "in double precision although every p_e > 0")
-    return cost([mult for _, mult in data.patterns], values, values, 0.0)
+    patterns = [ch for ch, _ in data.patterns]
+    weights = [mult for _, mult in data.patterns]
+    values = pattern_likelihoods(tree, probs, patterns)
+    if min(values) >= _NORMAL_MIN:
+        return cost(weights, values, values, 0.0)
+    logs = pattern_log_likelihoods(tree, probs, patterns)
+    return -sum(w * lf for w, lf in zip(weights, logs))
 
 
 def write_probs(tree: Tree, probs: EdgeProbs) -> str:

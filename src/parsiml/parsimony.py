@@ -1,14 +1,13 @@
-"""Minimum-flip (parsimony) scoring and exhaustive search for the best tree.
+"""Minimum-flip (parsimony) scoring and exact search for the best tree.
 
 The score of a character on a tree is the smallest number of edges whose
 endpoints differ, over all ways of assigning states to the internal
-vertices. The fast path is a one-pass set rule; the brute-force path
+vertices. The fast path is one set rule run on every pattern at once, with
+bit j of a Python int standing for pattern j; the brute-force path
 enumerates every internal assignment and is kept as an independent oracle.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from parsiml.characters import Character, DataMatrix
 from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, canonical_newick,
@@ -25,6 +24,105 @@ def _check_length(tree: Tree, ch) -> Character:
     return ch
 
 
+class _PatternMasks:
+    """The patterns of a matrix over n leaves as bitmasks, bit j for pattern j.
+
+    ``ones[v]`` (``zeros[v]``) holds the patterns with state 1 (0) at leaf
+    v. Multiplicities are bit-sliced: ``slices`` pairs each bit position b
+    with the patterns whose multiplicity has bit b set, so the weight of a
+    set of patterns is the sum of popcount(mask & slice) << b, an exact
+    integer whatever its size.
+    """
+
+    __slots__ = ("n", "full", "zeros", "ones", "slices")
+
+    def __init__(self, n: int, patterns):
+        self.n = n
+        self.full = (1 << len(patterns)) - 1
+        self.ones = [0] * (n + 1)
+        for j, (ch, _) in enumerate(patterns):
+            for v, s in enumerate(ch, 1):
+                if s:
+                    self.ones[v] |= 1 << j
+        self.zeros = [self.full & ~m for m in self.ones]
+        mults = [int(m) for _, m in patterns]
+        self.slices = []
+        for b in range(max(mults).bit_length()):
+            mask = sum(1 << j for j, m in enumerate(mults) if m >> b & 1)
+            if mask:
+                self.slices.append((b, mask))
+
+    def score(self, plan) -> int:
+        """Weighted flip score of a tree along a postorder ``plan``.
+
+        The set rule of :func:`fitch_score`, run on every pattern at once.
+        ``plan`` is shaped like :meth:`Tree.rooted_plan`: (vertex, children)
+        pairs, children first, each child a (vertex, edge) pair whose edge
+        slot is not read. The tree may be partial: its leaves are whichever
+        of 1..n it holds. A leaf's set is its own state, so a leaf may also
+        hang children (the root of the two-leaf tree).
+        """
+        full, n, zeros, ones = self.full, self.n, self.zeros, self.ones
+        sets: dict[int, tuple[int, int]] = {}
+        misses = []  # each mask pays one flip per pattern in it
+        for v, children in plan:
+            if not children:
+                sets[v] = (zeros[v], ones[v])
+                continue
+            kids = [sets[c] for c, _ in children]
+            if v <= n:
+                s0, s1 = sets[v] = (zeros[v], ones[v])
+                misses.extend((s0 & ~k0) | (s1 & ~k1) for k0, k1 in kids)
+            elif len(kids) == 2:
+                # the majority rule on two children: intersect, else union
+                (a0, a1), (b0, b1) = kids
+                both0 = a0 & b0
+                both1 = a1 & b1
+                miss = full & ~(both0 | both1)
+                misses.append(miss)
+                sets[v] = (both0 | miss, both1 | miss)
+            else:
+                # at_s[t]: the patterns where at least t children hold s
+                at0 = [full]
+                at1 = [full]
+                for k0, k1 in kids:
+                    at0.append(0)
+                    at1.append(0)
+                    for t in range(len(at0) - 1, 0, -1):
+                        at0[t] |= at0[t - 1] & k0
+                        at1[t] |= at1[t - 1] & k1
+                lose0 = at1[1] & ~at0[1]
+                lose1 = at0[1] & ~at1[1]
+                for t in range(2, len(at0)):
+                    misses.append(full & ~(at0[t] | at1[t]))
+                    lose0 |= at1[t] & ~at0[t]
+                    lose1 |= at0[t] & ~at1[t]
+                sets[v] = (full & ~lose0, full & ~lose1)
+        return sum(sum((m & s).bit_count() for m in misses) << b
+                   for b, s in self.slices)
+
+
+def _plan_of_edges(edges, root: int) -> list:
+    """:meth:`Tree.rooted_plan` for a bare edge list, without a ``Tree``.
+
+    The edges must form one tree, as the partial trees of
+    :func:`enumerate_topologies` do; nothing here checks it.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return [(v, [(w, None) for w in adj[v] if w != parent[v]])
+            for v in reversed(order)]
+
+
 def fitch_score(tree: Tree, ch) -> int:
     """Minimum number of state flips for one character, exactly.
 
@@ -35,23 +133,7 @@ def fitch_score(tree: Tree, ch) -> int:
     majority count is what keeps the result equal to the true minimum.
     """
     ch = _check_length(tree, ch)
-    if tree.n == 2:
-        return int(ch[0] != ch[1])
-    masks = {}
-    cost = 0
-    for v, children in tree.rooted_plan():
-        if not children:
-            masks[v] = 1 << ch[v - 1]
-        else:
-            zeros = ones = 0
-            for c, _ in children:
-                m = masks[c]
-                zeros += m & 1
-                ones += m >> 1
-            best = zeros if zeros >= ones else ones
-            cost += len(children) - best
-            masks[v] = (1 if zeros == best else 0) | (2 if ones == best else 0)
-    return cost
+    return _PatternMasks(tree.n, [(ch, 1)]).score(tree.rooted_plan())
 
 
 def brute_force_score(tree: Tree, ch, cap: int = BRUTE_FORCE_CAP) -> int:
@@ -83,23 +165,36 @@ def parsimony_score(tree: Tree, data: DataMatrix) -> int:
     """Multiplicity-weighted flip count of a whole matrix on one tree."""
     if data.n != tree.n:
         raise ValueError(f"matrix has {data.n} leaves, tree has {tree.n}")
-    return sum(mult * fitch_score(tree, ch) for ch, mult in data.patterns)
+    return _PatternMasks(data.n, data.patterns).score(tree.rooted_plan())
 
 
-def mp_search(data: DataMatrix, cap: int = DEFAULT_TOPOLOGY_CAP,
-              n_jobs: int = 1) -> tuple[int, list[Tree]]:
-    """Exhaustive minimum over all binary topologies.
+def mp_search(data: DataMatrix,
+              cap: int = DEFAULT_TOPOLOGY_CAP) -> tuple[int, list[Tree]]:
+    """Exact minimum over all binary topologies, by branch and bound.
 
-    Returns the best score and every tree attaining it (scores are exact
-    integers, so ties are exact), in canonical order.
+    Trees grow by leaf insertion in the order of :func:`enumerate_topologies`
+    (Hendy & Penny 1982). Adding a leaf never lowers the flip score, so a
+    partial tree on leaves 1..m scoring above the best complete tree so far
+    has no optimal completion and is cut; one that ties is kept, so every
+    optimum is found. Returns the best score and every tree attaining it
+    (scores are exact integers, so ties are exact), in canonical order.
     """
-    topologies = list(enumerate_topologies(data.n, cap))
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            scores = list(pool.map(lambda t: parsimony_score(t, data), topologies))
-    else:
-        scores = [parsimony_score(t, data) for t in topologies]
-    best = min(scores)
-    optima = [t for t, s in zip(topologies, scores) if s == best]
+    masks = _PatternMasks(data.n, data.patterns)
+    root = data.n + 1  # the first internal vertex: in every partial tree
+    best = None
+    scored = 0
+
+    def bound(edges) -> bool:
+        nonlocal scored
+        scored = masks.score(_plan_of_edges(edges, root))
+        return best is not None and scored > best
+
+    optima: list[Tree] = []
+    for tree in enumerate_topologies(data.n, cap, prune=bound):
+        # ``scored`` is the score of this complete tree: the generator
+        # bounds each tree right before it yields it
+        if best is None or scored < best:
+            best, optima = scored, []
+        optima.append(tree)
     optima.sort(key=canonical_newick)
     return best, optima

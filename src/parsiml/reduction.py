@@ -45,7 +45,8 @@ import numpy as np
 
 from parsiml.characters import (DataMatrix, PaddedInstance, is_constant,
                                 pad_constant_sites)
-from parsiml.likelihood import EdgeProbs, modified_loglik, pattern_likelihoods
+from parsiml.likelihood import (EdgeProbs, modified_loglik, pattern_likelihoods,
+                                pattern_log_likelihoods)
 from parsiml.mlopt import OptimizerConfig, ml_search, optimize_edges
 from parsiml.parsimony import fitch_score, mp_search, parsimony_score
 from parsiml.trees import DEFAULT_TOPOLOGY_CAP, Tree, canonical_newick
@@ -243,12 +244,12 @@ def _per_char_lower_bound_violations(tree: Tree, padded: PaddedInstance,
     uniform vector q. Holds for every q in (0, 1/2], so any hit is a bug."""
     n_edges = len(tree.edges)
     probs = EdgeProbs.uniform(tree, q)
-    values = pattern_likelihoods(tree, probs,
-                                 [ch for ch, _ in padded.padded.patterns])
+    logs = pattern_log_likelihoods(tree, probs,
+                                   [ch for ch, _ in padded.padded.patterns])
     violations = 0
-    for (ch, _), value in zip(padded.padded.patterns, values):
+    for (ch, _), log_value in zip(padded.padded.patterns, logs):
         lower = fitch_score(tree, ch) * math.log(q) - n_edges * (q + 2 * q * q)
-        if math.log(value) < lower - slack:
+        if log_value < lower - slack:
             violations += 1
     return violations
 
@@ -492,7 +493,7 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
     started = time.perf_counter()
     config = config or OptimizerConfig()
 
-    best_score, mp_optima = mp_search(base, cap=cap, n_jobs=n_jobs)
+    best_score, mp_optima = mp_search(base, cap=cap)
     padded = pad_constant_sites(base, epsilon)
     qty = ReductionQuantities(best_score, 2 * base.n - 3, padded.padded.k,
                               padded.params.pad_count)

@@ -324,13 +324,19 @@ def parse_newick(text: str) -> Tree:
                     for u, v in edges])
 
 
-def enumerate_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP):
+def enumerate_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP,
+                         prune=None):
     """Yield every unrooted binary topology on leaves 1..n exactly once.
 
     Generation is by leaf insertion: each topology on 1..m extends to
     2m-3 topologies on 1..m+1 by subdividing an edge, and every topology
     arises from exactly one parent, so the stream is duplicate-free with
     (2n-5)!! trees in a deterministic order.
+
+    ``prune``, when given, is called with the edge list of every tree on
+    the way, partial (leaves 1..m, internal vertices n+1..n+m-2) or
+    complete, before it is extended or yielded; a true return skips that
+    tree and every tree grown from it.
     """
     if n < 3:
         raise ValueError("topology enumeration needs n >= 3")
@@ -340,6 +346,8 @@ def enumerate_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP):
             f"pass a larger cap explicitly to proceed")
 
     def grow(edges: list[Edge], next_leaf: int, next_internal: int):
+        if prune is not None and prune(edges):
+            return
         if next_leaf > n:
             yield Tree(n, edges)
             return

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from parsiml import DataMatrix, Tree, parse_newick
@@ -35,3 +38,41 @@ def all_characters(n: int):
     """Every binary character on n leaves, in numeric order."""
     for bits in range(1 << n):
         yield tuple((bits >> i) & 1 for i in range(n))
+
+
+def exact_cost(tree: Tree, vec, data: DataMatrix) -> float:
+    """-sum of N_chi ln f_chi from the likelihood DP in exact rationals.
+
+    Each float p is m / 2^e, so with D the largest such denominator every
+    edge factor is an integer over D and each pattern value an exact
+    Fraction. Only the final logarithm rounds: log1p of f - 1 near f = 1,
+    log of numerator minus log of denominator elsewhere.
+    """
+    fracs = [Fraction(p) for p in vec]
+    den = max(f.denominator for f in fracs)
+    flip = [f.numerator * (den // f.denominator) for f in fracs]
+    plan = tree.rooted_plan()
+    root = plan[-1][0]
+    total = 0.0
+    for ch, mult in data.patterns:
+        down = {}
+        for v, children in plan:
+            if not children:
+                down[v] = (1 - ch[v - 1], ch[v - 1])
+                continue
+            like0 = like1 = 1
+            for c, ei in children:
+                c0, c1 = down[c]
+                p, stay = flip[ei], den - flip[ei]
+                like0 *= stay * c0 + p * c1
+                like1 *= p * c0 + stay * c1
+            down[v] = (like0, like1)
+        f = Fraction(sum(down[root]), den ** len(vec))
+        if f == 0:
+            return math.inf
+        if f > Fraction(1, 2):
+            ln_f = math.log1p(f - 1)
+        else:
+            ln_f = math.log(f.numerator) - math.log(f.denominator)
+        total -= mult * ln_f
+    return total

@@ -128,6 +128,29 @@ class TestGeneratePad:
         assert payload["N_c"] == 64
         assert payload["k_padded"] == 66
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "5", "--k", "6"],
+        ["gen", "--n", "5", "--k", "6", "--compressed"],
+        ["pad", "--matrix", "x.mat", "--epsilon", "0.5"],
+        ["pad", "--matrix", "x.mat", "--nc", "10"],
+    ])
+    def test_gen_and_pad_honour_format(self, workdir, argv):
+        argv = [str(workdir / a) if a == "x.mat" else a for a in argv]
+        text = run_cli(*argv).stdout
+        as_json = json.loads(run_cli("--format", "json", *argv).stdout)
+        header, row = csv.reader(io.StringIO(
+            run_cli("--format", "csv", *argv).stdout))
+        as_csv = dict(zip(header, row))
+        assert as_json["matrix"] == as_csv["matrix"]
+        # the text output is the matrix, after pad's one comment line
+        assert text.endswith(as_json["matrix"])
+        assert text.count("\n") - as_json["matrix"].count("\n") == \
+            (1 if argv[0] == "pad" else 0)
+        if argv[0] == "gen":
+            assert (as_json["n"], as_json["k"], as_json["seed"]) == (5, 6, 0)
+        else:
+            assert as_csv["N_c"] == str(as_json["N_c"])
+
     def test_pad_explicit_count(self, workdir):
         proc = run_cli("pad", "--matrix", str(workdir / "x.mat"),
                        "--nc", "10")

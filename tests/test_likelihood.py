@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from parsiml import (DataMatrix, EdgeProbs, char_likelihood_exhaustive,
                      char_likelihood_pruning, complement,
                      enumerate_topologies, fitch_score, is_constant,
-                     modified_loglik, parse_probs, write_probs)
-from parsiml.likelihood import cost
+                     modified_loglik, parse_probs, pattern_likelihoods,
+                     write_probs)
+from parsiml.likelihood import cost, pattern_log_likelihoods
 
-from conftest import all_characters, caterpillar
+from conftest import all_characters, caterpillar, exact_cost
 
 
 def random_probs(tree, rng):
@@ -154,16 +155,38 @@ class TestDatasetCost:
         probs = EdgeProbs.uniform(quartet, 0.0)
         assert modified_loglik(quartet, probs, data) == math.inf
 
-    def test_underflow_raises(self, quartet):
-        # two flips at p = 1e-200: the true value ~ 2e-400 rounds to 0.0
+    @pytest.mark.parametrize("vec", [
+        [1e-200] * 5,  # two flips: the true value ~ 4e-400 rounds to 0.0
+        [2.0 ** -1023] * 4 + [0.5],  # a subnormal p on every pendant edge
+        [5e-324] * 5,  # p * c rounds to 0.0 under linear rescaling too
+        [5e-324, 0.5, 1e-300, 0.25, 2.0 ** -1022],
+        [0.0] + [1e-200] * 4,  # a zero edge that 0101 can route around
+    ])
+    def test_underflow_is_rescued(self, quartet, vec):
+        data = DataMatrix.from_columns(4, [(0, 0, 1, 1), (0, 1, 0, 1)])
+        value = modified_loglik(quartet, EdgeProbs.from_vector(quartet, vec),
+                                data)
+        assert math.isfinite(value)
+        assert value == pytest.approx(exact_cost(quartet, vec, data),
+                                      rel=1e-12)
+
+    def test_log_values(self, quartet):
+        patterns = [(0, 0, 1, 1), (0, 1, 0, 1)]
+        # leaves 1 and 2 frozen to their neighbour: 0101 is impossible
+        probs = EdgeProbs.from_vector(quartet, [0.0, 0.0, 0.2, 0.3, 0.4])
+        plain = pattern_likelihoods(quartet, probs, patterns)
+        assert plain[1] == 0.0
+        assert pattern_log_likelihoods(quartet, probs, patterns) == \
+            [math.log(plain[0]), -math.inf]
+        tiny = EdgeProbs.uniform(quartet, 1e-200)
+        data = DataMatrix.from_columns(4, patterns)
+        assert -sum(pattern_log_likelihoods(quartet, tiny, patterns)) == \
+            pytest.approx(exact_cost(quartet, [1e-200] * 5, data), rel=1e-12)
+
+    def test_zero_probability_keeps_inf(self, quartet):
+        # leaves 1 and 2 frozen to their neighbour make 0101 impossible
         data = DataMatrix.from_columns(4, [(0, 1, 0, 1)])
-        probs = EdgeProbs.uniform(quartet, 1e-200)
-        with pytest.raises(ValueError, match="underflow"):
-            modified_loglik(quartet, probs, data)
-        # one zero edge makes a zero exact, so the cost stays +inf
-        vec = [1e-200] * 5
-        vec[0] = 0.0
-        probs = EdgeProbs.from_vector(quartet, vec)
+        probs = EdgeProbs.from_vector(quartet, [0.0, 0.0] + [1e-200] * 3)
         assert modified_loglik(quartet, probs, data) == math.inf
 
     def test_additivity(self, quartet):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from parsiml import (DataMatrix, brute_force_score, canonical_newick,
                      complement, enumerate_topologies, fitch_score,
                      is_constant, mp_search, pad_constant_sites,
-                     parse_newick, parsimony_score)
+                     pad_with_count, parse_newick, parsimony_score,
+                     random_instance)
 
 from conftest import all_characters, caterpillar
 
@@ -80,6 +81,40 @@ class TestScoreProperties:
         assert score == fitch_score(tree, complement(ch))
 
 
+class TestMatrixScoreOracle:
+    """The bitmask core against per-pattern brute force."""
+
+    @staticmethod
+    def brute_total(tree, data):
+        return sum(mult * brute_force_score(tree, ch)
+                   for ch, mult in data.patterns)
+
+    @pytest.mark.parametrize("n,k,seed", [(4, 9, 0), (5, 12, 1), (6, 16, 2),
+                                          (7, 6, 3)])
+    def test_every_topology(self, n, k, seed):
+        data = random_instance(n, k, seed)
+        for tree in enumerate_topologies(n):
+            assert parsimony_score(tree, data) == self.brute_total(tree, data)
+
+    @pytest.mark.parametrize("text", ["(1,2,3,4,5);", "(1,2,(3,4,5));"])
+    def test_polytomies(self, text):
+        tree = parse_newick(text)
+        data = DataMatrix(5, tuple((ch, 1 + i % 3) for i, ch in
+                                   enumerate(sorted(all_characters(5)))))
+        assert parsimony_score(tree, data) == self.brute_total(tree, data)
+
+    def test_counts_near_float_limit(self):
+        base = random_instance(6, 10, 4)
+        padded = pad_with_count(base, 2 ** 53 - base.k).padded
+        heavy = DataMatrix(6, tuple((ch, 2 ** 52 + 2 * i + 1) for i, (ch, _)
+                                    in enumerate(base.patterns)))
+        for tree in list(enumerate_topologies(6))[::7]:
+            assert parsimony_score(tree, padded) == \
+                self.brute_total(tree, base)
+            assert parsimony_score(tree, heavy) == \
+                self.brute_total(tree, heavy)
+
+
 class TestMatrixScore:
     def test_weighted_sum(self, quartet, quartet_matrix):
         assert parsimony_score(quartet, quartet_matrix) == 3
@@ -127,12 +162,20 @@ class TestSearch:
         assert score == 0
         assert len(optima) == 3
 
-    def test_threaded_matches_serial(self, quartet_matrix):
-        serial = mp_search(quartet_matrix, n_jobs=1)
-        threaded = mp_search(quartet_matrix, n_jobs=2)
-        assert serial[0] == threaded[0]
-        assert [canonical_newick(t) for t in serial[1]] == \
-            [canonical_newick(t) for t in threaded[1]]
+    @pytest.mark.parametrize("n,k,seed", [
+        (4, 3, 0), (5, 6, 1), (6, 10, 2), (7, 12, 3),
+        (8, 8, 3), (8, 24, 3), (8, 64, 3)])
+    def test_matches_exhaustive_minimum(self, n, k, seed):
+        data = random_instance(n, k, seed)
+        topologies = list(enumerate_topologies(n))
+        scores = [parsimony_score(t, data) for t in topologies]
+        best = min(scores)
+        expected = sorted((t for t, s in zip(topologies, scores) if s == best),
+                          key=canonical_newick)
+        score, optima = mp_search(data)
+        assert score == best
+        # Tree equality is edge equality: same edges and internal ids
+        assert optima == expected
 
     def test_cap_respected(self):
         m = DataMatrix.from_columns(9, [tuple([0, 1] * 4 + [0])])

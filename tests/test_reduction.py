@@ -4,13 +4,13 @@ import math
 import pytest
 
 from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig,
-                     char_likelihood_exhaustive, normalized_cost,
-                     pad_constant_sites, pad_with_count, quantities_for,
-                     random_instance, verify_claim1, verify_claim2,
-                     verify_claim3, verify_prop1_chain)
+                     char_likelihood_exhaustive, modified_loglik,
+                     normalized_cost, pad_constant_sites, pad_with_count,
+                     quantities_for, random_instance, verify_claim1,
+                     verify_claim2, verify_claim3, verify_prop1_chain)
 from parsiml.parsimony import mp_search
 
-from conftest import caterpillar
+from conftest import caterpillar, exact_cost
 
 
 @pytest.fixture
@@ -166,25 +166,45 @@ class TestClaim3:
 
 class TestUnderflow:
     """64 leaves at epsilon = 0.15: N_c ~ 1.1e14 fits under 2^53, but the
-    canonical q makes pattern likelihoods underflow to 0.0."""
+    canonical q makes pattern likelihoods underflow the double range."""
 
     @pytest.fixture(scope="class")
     def instance(self):
         padded = pad_constant_sites(random_instance(64, 128, 0), 0.15)
-        return caterpillar(64), padded
+        tree = caterpillar(64)
+        q = quantities_for(tree, padded).q
+        exact = exact_cost(tree, [q] * len(tree.edges), padded.padded)
+        return tree, padded, q, exact
 
-    def test_claim1_names_the_underflow(self, instance):
-        tree, padded = instance
-        with pytest.raises(ValueError, match="underflow"):
-            verify_claim1(padded, tree)
+    def test_claim1_cost_is_finite(self, instance):
+        tree, padded, q, exact = instance
+        report = verify_claim1(padded, tree)
+        assert report.verdict == "pass"
+        assert report.details["per_char_violations"] == 0
+        # the all-zero pattern (weight ~1.1e14) takes ln of a linear value
+        # f ~ 1 - 2.5e-11, which holds the total to ~5e-6 relative
+        assert report.lhs * math.log(padded.padded.k) == \
+            pytest.approx(exact, rel=1e-5)
+        # every other pattern, underflowed ones included, to 1e-12
+        variable = DataMatrix(64, tuple(
+            (ch, w) for ch, w in padded.padded.patterns if any(ch)))
+        assert modified_loglik(tree, EdgeProbs.uniform(tree, q), variable) \
+            == pytest.approx(exact_cost(tree, [q] * len(tree.edges),
+                                        variable), rel=1e-12)
 
-    def test_claim3_names_the_underflow(self, instance):
-        tree, padded = instance
-        with pytest.raises(ValueError, match="underflow"):
-            verify_claim3(padded, tree, trials=5)
+    def test_claim3_cost_is_finite(self, instance):
+        tree, padded, q, exact = instance
+        report = verify_claim3(padded, tree, trials=5)
+        assert report.verdict == "pass"
+        assert math.isfinite(report.lhs)
+        # the canonical q is one of the probed vectors
+        at_q = normalized_cost(tree, EdgeProbs.uniform(tree, q), padded)
+        assert report.lhs <= at_q
+        assert at_q * math.log(padded.padded.k) == \
+            pytest.approx(exact, rel=1e-5)
 
     def test_claim2_still_passes(self, instance):
-        tree, padded = instance
+        tree, padded, _, _ = instance
         assert verify_claim2(padded, tree, trials=50).verdict == "pass"
 
 

@@ -107,6 +107,19 @@ class TestEnumeration:
     def test_all_binary(self):
         assert all(is_binary(t) for t in enumerate_topologies(5))
 
+    def test_prune_skips_subtrees(self):
+        seen = []
+
+        def keep_first_quartet(edges):
+            seen.append(len(edges))
+            # a 4-leaf partial tree has 5 edges; keep only the first one
+            return len(edges) == 5 and seen.count(5) > 1
+
+        kept = list(enumerate_topologies(5, prune=keep_first_quartet))
+        assert kept == list(enumerate_topologies(5))[:5]
+        # every tree on the way is offered: 1 + 3 partial, then 5 complete
+        assert sorted(seen) == [3] + [5] * 3 + [7] * 5
+
     def test_cap_refused(self):
         with pytest.raises(TopologyCapError, match="cap"):
             next(enumerate_topologies(9))
