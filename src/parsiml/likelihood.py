@@ -16,19 +16,29 @@ that merely underflows is recomputed in log space and stays finite.
 
 Two evaluators are provided on purpose: a term-by-term exhaustive sum and a
 dynamic program over the tree. They share nothing but the model definition,
-so agreement between them is evidence, not tautology.
+so agreement between them is evidence, not tautology. The dynamic program
+(:func:`pattern_values`) runs over a batch of edge vectors times every
+pattern at once with numpy, in the scalar recursion's operation order, so
+batching changes no bit of any value. The cost sum (:func:`cost`) stays a
+scalar loop over ``math.log``: its summation order is part of every
+reported number.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+
+import numpy as np
 
 from parsiml.characters import DataMatrix
 from parsiml.trees import Edge, Tree, _normalize_edge
 
 EXHAUSTIVE_CAP = 24
 _NORMAL_MIN = sys.float_info.min  # below it a double is subnormal or zero
+# Edge vectors per DP pass in :func:`modified_logliks`: bounds what is held.
+CHUNK = 64
 
 
 class EdgeProbs:
@@ -41,14 +51,10 @@ class EdgeProbs:
     __slots__ = ("_by_edge",)
 
     def __init__(self, mapping):
-        by_edge: dict[Edge, float] = {}
-        for (u, v), p in dict(mapping).items():
-            p = float(p)
-            if not 0.0 <= p <= 0.5:
-                raise ValueError(
-                    f"edge ({u},{v}) probability {p} outside [0, 1/2]")
-            by_edge[_normalize_edge(int(u), int(v))] = p
-        self._by_edge = by_edge
+        mapping = dict(mapping)
+        values = _checked_vector(list(mapping), mapping.values())
+        self._by_edge = {_normalize_edge(int(u), int(v)): p
+                         for (u, v), p in zip(mapping, values)}
 
     @classmethod
     def uniform(cls, tree: Tree, q: float) -> "EdgeProbs":
@@ -56,11 +62,7 @@ class EdgeProbs:
 
     @classmethod
     def from_vector(cls, tree: Tree, values) -> "EdgeProbs":
-        values = list(values)
-        if len(values) != len(tree.edges):
-            raise ValueError(
-                f"{len(values)} probabilities for {len(tree.edges)} edges")
-        return cls(dict(zip(tree.edges, values)))
+        return cls(dict(zip(tree.edges, _checked_vector(tree.edges, values))))
 
     def __getitem__(self, edge) -> float:
         return self._by_edge[_normalize_edge(*edge)]
@@ -88,31 +90,53 @@ class EdgeProbs:
         return f"EdgeProbs({{{inner}}})"
 
 
-def _pattern_value(plan, vec, ch) -> float:
-    """One pattern's likelihood via the dynamic program.
+def pattern_values(plan, vecs, states) -> np.ndarray:
+    """Every pattern's likelihood under every edge vector: a (B, P) array.
 
-    ``plan`` is a postorder rooted traversal; ``vec`` holds raw edge
-    probabilities aligned with the tree's edge order. Works for any anchor
-    vertex, including a leaf (whose own state then selects the component).
+    ``plan`` is a postorder :meth:`Tree.rooted_plan` from any anchor (a
+    leaf anchor's own state selects the component); ``vecs`` holds B raw
+    edge vectors in the tree's edge order, ``states`` P patterns. Entry
+    (b, j) runs the scalar recursion's IEEE operations in its order, so it
+    equals the one-vector, one-pattern value bit for bit.
     """
-    down: dict[int, tuple[float, float]] = {}
-    root, root_children = plan[-1]
+    vecs = np.asarray(vecs, dtype=float)
+    ones = np.asarray(states) != 0
+    if ones.size == 0:
+        return np.zeros((len(vecs), 0))
+    leaf1 = ones.T.astype(float)
+    leaf0 = 1.0 - leaf1
+    down: dict[int, tuple] = {}
+    root = plan[-1][0]
     for v, children in plan:
         if not children:
-            down[v] = (1.0, 0.0) if ch[v - 1] == 0 else (0.0, 1.0)
+            down[v] = (leaf0[v - 1], leaf1[v - 1])
             continue
         like0 = like1 = 1.0
         for c, ei in children:
-            c0, c1 = down[c]
-            p = vec[ei]
+            c0, c1 = down.pop(c)
+            p = vecs[:, ei, None]
             stay = 1.0 - p
-            like0 *= stay * c0 + p * c1
-            like1 *= p * c0 + stay * c1
+            like0 = like0 * (stay * c0 + p * c1)
+            like1 = like1 * (p * c0 + stay * c1)
         down[v] = (like0, like1)
     like0, like1 = down[root]
-    if root <= len(ch):
-        return like0 if ch[root - 1] == 0 else like1
+    if root <= ones.shape[1]:
+        return np.where(ones[:, root - 1], like1, like0)
     return like0 + like1
+
+
+def _checked_vector(edges, values) -> list[float]:
+    """Probabilities aligned with ``edges``; any outside [0, 1/2] refused."""
+    values = list(values)
+    if len(values) != len(edges):
+        raise ValueError(f"{len(values)} probabilities for {len(edges)} edges")
+    checked = []
+    for (u, v), p in zip(edges, values):
+        p = float(p)
+        if not 0.0 <= p <= 0.5:
+            raise ValueError(f"edge ({u},{v}) probability {p} outside [0, 1/2]")
+        checked.append(p)
+    return checked
 
 
 def char_likelihood_pruning(tree: Tree, probs: EdgeProbs, ch,
@@ -125,9 +149,8 @@ def char_likelihood_pruning(tree: Tree, probs: EdgeProbs, ch,
     ch = tuple(int(s) for s in ch)
     if len(ch) != tree.n:
         raise ValueError(f"character has {len(ch)} states, tree has {tree.n} leaves")
-    vec = probs.vector(tree)
     plan = tree.rooted_plan(anchor)
-    return _pattern_value(plan, vec, ch)
+    return float(pattern_values(plan, [probs.vector(tree)], [ch])[0, 0])
 
 
 def char_likelihood_exhaustive(tree: Tree, probs: EdgeProbs, ch,
@@ -157,9 +180,9 @@ def char_likelihood_exhaustive(tree: Tree, probs: EdgeProbs, ch,
 def pattern_likelihoods(tree: Tree, probs: EdgeProbs, patterns,
                         anchor: int | None = None) -> list[float]:
     """Likelihood of each pattern in one pass over a shared plan."""
-    vec = probs.vector(tree)
     plan = tree.rooted_plan(anchor)
-    return [_pattern_value(plan, vec, tuple(ch)) for ch in patterns]
+    return pattern_values(plan, [probs.vector(tree)],
+                          [tuple(ch) for ch in patterns])[0].tolist()
 
 
 def cost(weights, at0, at1, x: float) -> float:
@@ -193,7 +216,7 @@ def _log_add(a: float, b: float) -> float:
 
 
 def _log_pattern_value(plan, vec, ch) -> float:
-    """ln of one pattern's likelihood: :func:`_pattern_value` carried in logs.
+    """ln of one pattern's likelihood: :func:`pattern_values` carried in logs.
 
     Every vertex holds ln of its pair, so no value leaves the double range
     however small the likelihood (rescaling the linear pair instead still
@@ -220,6 +243,13 @@ def _log_pattern_value(plan, vec, ch) -> float:
     return _log_add(like0, like1)
 
 
+def _rescued_logs(plan, vec, states, values) -> list[float]:
+    """ln f of each value, recomputed in log space below the normal range."""
+    return [math.log(f) if f >= _NORMAL_MIN
+            else _log_pattern_value(plan, vec, ch)
+            for f, ch in zip(values, states)]
+
+
 def pattern_log_likelihoods(tree: Tree, probs: EdgeProbs,
                             patterns) -> list[float]:
     """ln f of each pattern; -inf for a pattern some p_e = 0 rules out.
@@ -230,13 +260,9 @@ def pattern_log_likelihoods(tree: Tree, probs: EdgeProbs,
     """
     vec = probs.vector(tree)
     plan = tree.rooted_plan()
-    logs = []
-    for ch in patterns:
-        ch = tuple(ch)
-        f = _pattern_value(plan, vec, ch)
-        logs.append(math.log(f) if f >= _NORMAL_MIN
-                    else _log_pattern_value(plan, vec, ch))
-    return logs
+    patterns = [tuple(ch) for ch in patterns]
+    values = pattern_values(plan, [vec], patterns)[0].tolist()
+    return _rescued_logs(plan, vec, patterns, values)
 
 
 def modified_loglik(tree: Tree, probs: EdgeProbs, data: DataMatrix) -> float:
@@ -247,15 +273,30 @@ def modified_loglik(tree: Tree, probs: EdgeProbs, data: DataMatrix) -> float:
     pattern value (see :func:`pattern_log_likelihoods`) does not make the
     cost +inf: its ln f comes from log space, so the cost stays finite.
     """
+    return next(modified_logliks(tree, [probs.vector(tree)], data))
+
+
+def modified_logliks(tree: Tree, vecs, data: DataMatrix):
+    """:func:`modified_loglik` at each of any number of raw edge vectors.
+
+    Lazily and bit for bit, underflow rescue included; each vector is
+    checked as :class:`EdgeProbs` checks it, and one DP pass serves CHUNK
+    vectors.
+    """
     if data.n != tree.n:
         raise ValueError(f"matrix has {data.n} leaves, tree has {tree.n}")
-    patterns = [ch for ch, _ in data.patterns]
+    plan = tree.rooted_plan()
+    states = np.array([ch for ch, _ in data.patterns])
     weights = [mult for _, mult in data.patterns]
-    values = pattern_likelihoods(tree, probs, patterns)
-    if min(values) >= _NORMAL_MIN:
-        return cost(weights, values, values, 0.0)
-    logs = pattern_log_likelihoods(tree, probs, patterns)
-    return -sum(w * lf for w, lf in zip(weights, logs))
+    vecs = (_checked_vector(tree.edges, vec) for vec in vecs)
+    while chunk := list(itertools.islice(vecs, CHUNK)):
+        for vec, values in zip(chunk,
+                               pattern_values(plan, chunk, states).tolist()):
+            if min(values) >= _NORMAL_MIN:
+                yield cost(weights, values, values, 0.0)
+            else:
+                logs = _rescued_logs(plan, vec, states, values)
+                yield -sum(w * lf for w, lf in zip(weights, logs))
 
 
 def write_probs(tree: Tree, probs: EdgeProbs) -> str:

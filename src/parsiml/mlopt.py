@@ -3,8 +3,11 @@
 The fixed-tree problem is solved by coordinate descent. Along one edge the
 pattern likelihood is affine in that edge's probability (every extension
 term carries the factor p or 1-p exactly once), so each coordinate step
-profiles the pattern values at p=0 and p=1 with two tree passes and then
-runs a derivative-free scalar search on the cheap 1-D restriction.
+profiles the pattern values at p=0 and p=1 and then runs a golden-section
+search on the cheap 1-D restriction. The starts of a fit run in lockstep,
+one batched DP pass per edge for all of them, each taking exactly the steps
+it takes alone. The 1-D search stays scalar: roundoff in it could reorder
+topologies tied within ``TIE_TOL``, and so change the reported winner.
 
 Coordinate descent only guarantees a coordinate-wise optimum. That caveat is
 the whole point of the problem this package studies, so it is surfaced, not
@@ -24,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from parsiml.characters import DataMatrix
-from parsiml.likelihood import EdgeProbs, _pattern_value, cost
+from parsiml.likelihood import (CHUNK, EdgeProbs, cost, modified_logliks,
+                                pattern_values)
 from parsiml.parsimony import parsimony_score
 from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, canonical_newick,
                            enumerate_topologies)
@@ -105,55 +109,65 @@ def golden_section_minimize(f, lo: float, hi: float,
 
 
 class _Objective:
-    """Dataset cost as a function of the raw edge-probability vector."""
+    """Dataset cost as a function of raw edge-probability vectors."""
 
     def __init__(self, tree: Tree, data: DataMatrix):
         if data.n != tree.n:
             raise ValueError(f"matrix has {data.n} leaves, tree has {tree.n}")
+        self.tree, self.data = tree, data
         self.plan = tree.rooted_plan()
-        self.patterns = [ch for ch, _ in data.patterns]
+        self.states = np.array([ch for ch, _ in data.patterns])
         self.weights = [float(mult) for _, mult in data.patterns]
         self.n_edges = len(tree.edges)
 
-    def pattern_values(self, vec) -> list[float]:
-        return [_pattern_value(self.plan, vec, ch) for ch in self.patterns]
+    def values(self, vecs):
+        """The cost of each vector, lazily; an underflow stays finite."""
+        return modified_logliks(self.tree, vecs, self.data)
 
-    def value(self, vec) -> float:
-        values = self.pattern_values(vec)
-        return cost(self.weights, values, values, 0.0)
+    def edge_profiles(self, vecs, i: int) -> list[tuple[list, list]]:
+        """Per vector, the pattern values at p_i = 0 and at p_i = 1.
 
-    def edge_profile(self, vec, i: int) -> tuple[list[float], list[float]]:
-        """Pattern values at p_i = 0 and p_i = 1 with other edges fixed.
-
-        The value at any p_i is then the affine blend (1-p)*at0 + p*at1,
-        whose cost is ``cost(weights, at0, at1, p)``.
+        The value at any p_i is the affine blend (1-p)*at0 + p*at1, whose
+        cost is ``cost(weights, at0, at1, p)``.
         """
-        saved = vec[i]
-        vec[i] = 0.0
-        at0 = self.pattern_values(vec)
-        vec[i] = 1.0
-        at1 = self.pattern_values(vec)
-        vec[i] = saved
-        return at0, at1
+        rows = np.repeat(np.asarray(vecs, dtype=float), 2, axis=0)
+        rows[:, i] = np.tile([0.0, 1.0], len(vecs))
+        values = [row for k in range(0, len(rows), CHUNK) for row in
+                  pattern_values(self.plan, rows[k:k + CHUNK],
+                                 self.states).tolist()]
+        return list(zip(values[0::2], values[1::2]))
 
 
-def _coordinate_descent(obj: _Objective, start, config: OptimizerConfig):
-    vec = [float(x) for x in start]
-    weights = obj.weights
-    current = obj.value(vec)
+def _coordinate_descent(obj: _Objective, starts, start_values,
+                        config: OptimizerConfig) -> list[tuple]:
+    """Coordinate descent from every start in lockstep.
+
+    Returns (vector, value, converged, sweeps) per start, each exactly what
+    that start reaches alone: the starts share only the DP passes. A start
+    leaves the batch once a sweep improves it by less than ``tol``.
+    """
+    runs = [[[float(x) for x in start], value, False, MAX_SWEEPS]
+            for start, value in zip(starts, start_values)]
+    active = runs
     for sweep in range(1, MAX_SWEEPS + 1):
-        before = current
+        before = [run[1] for run in active]
         for i in range(obj.n_edges):
-            at0, at1 = obj.edge_profile(vec, i)
-            x, fx = golden_section_minimize(
-                lambda t: cost(weights, at0, at1, t), 0.0, 0.5)
-            if fx < current:
-                vec[i] = x
-                current = fx
-        current = obj.value(vec)  # resync against 1-D roundoff drift
-        if before - current < config.tol:
-            return vec, current, True, sweep
-    return vec, current, False, MAX_SWEEPS
+            profiles = obj.edge_profiles([run[0] for run in active], i)
+            for run, (at0, at1) in zip(active, profiles):
+                x, fx = golden_section_minimize(
+                    lambda t: cost(obj.weights, at0, at1, t), 0.0, 0.5)
+                if fx < run[1]:
+                    run[0][i], run[1] = x, fx
+        # resync against 1-D roundoff drift
+        resynced = obj.values([run[0] for run in active])
+        for run, value, old in zip(active, resynced, before):
+            run[1] = value
+            if old - value < config.tol:
+                run[2:] = True, sweep
+        active = [run for run in active if not run[2]]
+        if not active:
+            break
+    return [tuple(run) for run in runs]
 
 
 def _starting_points(tree: Tree, data: DataMatrix, config: OptimizerConfig,
@@ -181,8 +195,8 @@ def grid_minimum(tree: Tree, data: DataMatrix, initial_step: float = 0.125,
 
     def sweep(axes):
         best_vec, best_val = None, math.inf
-        for point in itertools.product(*axes):
-            val = obj.value(list(point))
+        points = list(itertools.product(*axes))
+        for point, val in zip(points, obj.values(points)):
             if val < best_val:
                 best_vec, best_val = list(point), val
         return best_vec, best_val
@@ -215,12 +229,11 @@ def optimize_edges(tree: Tree, data: DataMatrix,
     config = config or OptimizerConfig()
     obj = _Objective(tree, data)
     starts = _starting_points(tree, data, config, seed)
-    start_values = tuple(obj.value(s) for s in starts)
+    start_values = tuple(obj.values(starts))
     best = None
-    for start in starts:
-        vec, val, converged, sweeps = _coordinate_descent(obj, start, config)
-        if best is None or val < best[1]:
-            best = (vec, val, converged, sweeps)
+    for run in _coordinate_descent(obj, starts, start_values, config):
+        if best is None or run[1] < best[1]:
+            best = run
     vec, val, converged, sweeps = best
     return MLResult(tree, EdgeProbs.from_vector(tree, vec), val,
                     converged, sweeps, start_values)

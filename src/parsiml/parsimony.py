@@ -47,13 +47,19 @@ class _PatternMasks:
         self.zeros = [self.full & ~m for m in self.ones]
         mults = [int(m) for _, m in patterns]
         self.slices = []
-        for b in range(max(mults).bit_length()):
+        for b in range(max(mults, default=0).bit_length()):
             mask = sum(1 << j for j, m in enumerate(mults) if m >> b & 1)
             if mask:
                 self.slices.append((b, mask))
 
     def score(self, plan) -> int:
-        """Weighted flip score of a tree along a postorder ``plan``.
+        """Weighted flip score of a tree along a postorder ``plan``."""
+        misses = self.misses(plan)
+        return sum(sum((m & s).bit_count() for m in misses) << b
+                   for b, s in self.slices)
+
+    def misses(self, plan) -> list[int]:
+        """Masks of the patterns paying a flip, one mask per flip paid.
 
         The set rule of :func:`fitch_score`, run on every pattern at once.
         ``plan`` is shaped like :meth:`Tree.rooted_plan`: (vertex, children)
@@ -98,8 +104,7 @@ class _PatternMasks:
                     lose0 |= at1[t] & ~at0[t]
                     lose1 |= at0[t] & ~at1[t]
                 sets[v] = (full & ~lose0, full & ~lose1)
-        return sum(sum((m & s).bit_count() for m in misses) << b
-                   for b, s in self.slices)
+        return misses
 
 
 def _plan_of_edges(edges, root: int) -> list:
@@ -134,6 +139,13 @@ def fitch_score(tree: Tree, ch) -> int:
     """
     ch = _check_length(tree, ch)
     return _PatternMasks(tree.n, [(ch, 1)]).score(tree.rooted_plan())
+
+
+def pattern_scores(tree: Tree, patterns) -> list[int]:
+    """:func:`fitch_score` of every pattern, from one bitmask pass."""
+    patterns = [(_check_length(tree, ch), 1) for ch in patterns]
+    misses = _PatternMasks(tree.n, patterns).misses(tree.rooted_plan())
+    return [sum(m >> j & 1 for m in misses) for j in range(len(patterns))]
 
 
 def brute_force_score(tree: Tree, ch, cap: int = BRUTE_FORCE_CAP) -> int:

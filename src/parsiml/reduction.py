@@ -45,10 +45,10 @@ import numpy as np
 
 from parsiml.characters import (DataMatrix, PaddedInstance, is_constant,
                                 pad_constant_sites)
-from parsiml.likelihood import (EdgeProbs, modified_loglik, pattern_likelihoods,
-                                pattern_log_likelihoods)
+from parsiml.likelihood import (EdgeProbs, modified_loglik, modified_logliks,
+                                pattern_likelihoods, pattern_log_likelihoods)
 from parsiml.mlopt import OptimizerConfig, ml_search, optimize_edges
-from parsiml.parsimony import fitch_score, mp_search, parsimony_score
+from parsiml.parsimony import mp_search, parsimony_score, pattern_scores
 from parsiml.trees import DEFAULT_TOPOLOGY_CAP, Tree, canonical_newick
 
 DEFAULT_M_MIN = 32
@@ -102,6 +102,12 @@ def normalized_cost(tree: Tree, probs: EdgeProbs,
     """Padded dataset cost divided by ln(k + N_c); >= 0, +inf propagates."""
     return (modified_loglik(tree, probs, padded.padded)
             / math.log(padded.padded.k))
+
+
+def normalized_costs(tree: Tree, vecs, padded: PaddedInstance):
+    """:func:`normalized_cost` at each raw edge vector, lazily, in batches."""
+    scale = math.log(padded.padded.k)
+    return (c / scale for c in modified_logliks(tree, vecs, padded.padded))
 
 
 @dataclass
@@ -242,16 +248,11 @@ def _per_char_lower_bound_violations(tree: Tree, padded: PaddedInstance,
                                      q: float, slack: float = 1e-12) -> int:
     """Count patterns violating ln f >= l_chi ln q - E (q + 2 q^2) at the
     uniform vector q. Holds for every q in (0, 1/2], so any hit is a bug."""
-    n_edges = len(tree.edges)
-    probs = EdgeProbs.uniform(tree, q)
-    logs = pattern_log_likelihoods(tree, probs,
-                                   [ch for ch, _ in padded.padded.patterns])
-    violations = 0
-    for (ch, _), log_value in zip(padded.padded.patterns, logs):
-        lower = fitch_score(tree, ch) * math.log(q) - n_edges * (q + 2 * q * q)
-        if log_value < lower - slack:
-            violations += 1
-    return violations
+    patterns = [ch for ch, _ in padded.padded.patterns]
+    logs = pattern_log_likelihoods(tree, EdgeProbs.uniform(tree, q), patterns)
+    drop = len(tree.edges) * (q + 2 * q * q)
+    return sum(log_value < flips * math.log(q) - drop - slack
+               for flips, log_value in zip(pattern_scores(tree, patterns), logs))
 
 
 def _per_char_upper_bound_violations(tree: Tree, padded: PaddedInstance,
@@ -262,17 +263,14 @@ def _per_char_upper_bound_violations(tree: Tree, padded: PaddedInstance,
     Only meaningful when every entry of ``vec`` is at most p_bar < 1/E.
     """
     n_edges = len(tree.edges)
-    probs = EdgeProbs.from_vector(tree, vec)
-    values = pattern_likelihoods(tree, probs,
-                                 [ch for ch, _ in padded.padded.patterns])
-    violations = 0
-    for (ch, _), value in zip(padded.padded.patterns, values):
-        if is_constant(ch):
-            continue
-        upper = n_edges * (n_edges * p_bar) ** fitch_score(tree, ch)
-        if value > upper + slack:
-            violations += 1
-    return violations
+    patterns = [ch for ch, _ in padded.padded.patterns]
+    values = pattern_likelihoods(tree, EdgeProbs.from_vector(tree, vec),
+                                 patterns)
+    return sum(value > n_edges * (n_edges * p_bar) ** flips + slack
+               for ch, flips, value in zip(patterns,
+                                           pattern_scores(tree, patterns),
+                                           values)
+               if not is_constant(ch))
 
 
 def _degenerate_report(check: str, padded: PaddedInstance, tree: Tree,
@@ -367,14 +365,18 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
 
     rng = np.random.default_rng(seed)
     n_edges = len(tree.edges)
+
+    def draws():
+        for t in range(trials):
+            vec = [float(x) for x in rng.uniform(0.0, 0.5, n_edges)]
+            # value in (p_bar, 1/2]: 1 - random() lies in (0, 1]
+            vec[t % n_edges] = (p_bar
+                                + (0.5 - p_bar) * (1.0 - float(rng.random())))
+            yield vec
+
     worst = math.inf
     violations = 0
-    for t in range(trials):
-        vec = [float(x) for x in rng.uniform(0.0, 0.5, n_edges)]
-        j = t % n_edges
-        # value in (p_bar, 1/2]: 1 - random() lies in (0, 1]
-        vec[j] = p_bar + (0.5 - p_bar) * (1.0 - float(rng.random()))
-        cost = normalized_cost(tree, EdgeProbs.from_vector(tree, vec), padded)
+    for cost in normalized_costs(tree, draws(), padded):
         if cost <= qty.score:
             violations += 1
         if cost < worst:
@@ -437,11 +439,7 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
                 tree, padded, vec, p_bar)
         vectors.extend(probes)
 
-    lhs = math.inf
-    for vec in vectors:
-        cost = normalized_cost(tree, EdgeProbs.from_vector(tree, vec), padded)
-        if cost < lhs:
-            lhs = cost
+    lhs = min(normalized_costs(tree, vectors, padded))
     bound = (1.0 - 5.0 * epsilon) * qty.score
     preconditions = below_threshold and padded.params.size >= m_min
     if per_char_bad:

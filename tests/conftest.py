@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,3 +77,41 @@ def exact_cost(tree: Tree, vec, data: DataMatrix) -> float:
             ln_f = math.log(f.numerator) - math.log(f.denominator)
         total -= mult * ln_f
     return total
+
+
+def random_tree(n: int, seed: int) -> Tree:
+    """A seeded binary tree on leaves 1..n, grown by random leaf insertion."""
+    if n == 2:
+        return Tree(2, [(1, 2)])
+    rng = random.Random(seed)
+    edges = [(1, n + 1), (2, n + 1), (3, n + 1)]
+    for leaf, mid in zip(range(4, n + 1), range(n + 2, 2 * n - 1)):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, mid), (mid, v), (leaf, mid)]
+    return Tree(n, edges)
+
+
+def scalar_pattern_value(plan, vec, ch) -> float:
+    """One pattern's likelihood by the plain scalar recursion.
+
+    The reference the batched ``likelihood.pattern_values`` must match bit
+    for bit: the same operations in the same order, one float at a time.
+    """
+    down = {}
+    root = plan[-1][0]
+    for v, children in plan:
+        if not children:
+            down[v] = (1.0, 0.0) if ch[v - 1] == 0 else (0.0, 1.0)
+            continue
+        like0 = like1 = 1.0
+        for c, ei in children:
+            c0, c1 = down[c]
+            p = vec[ei]
+            stay = 1.0 - p
+            like0 *= stay * c0 + p * c1
+            like1 *= p * c0 + stay * c1
+        down[v] = (like0, like1)
+    like0, like1 = down[root]
+    if root <= len(ch):
+        return like0 if ch[root - 1] == 0 else like1
+    return like0 + like1

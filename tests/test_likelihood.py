@@ -10,9 +10,12 @@ from parsiml import (DataMatrix, EdgeProbs, char_likelihood_exhaustive,
                      enumerate_topologies, fitch_score, is_constant,
                      modified_loglik, parse_probs, pattern_likelihoods,
                      write_probs)
-from parsiml.likelihood import cost, pattern_log_likelihoods
+from parsiml.likelihood import (CHUNK, cost, modified_logliks,
+                                pattern_log_likelihoods, pattern_values)
+from parsiml.trees import parse_newick
 
-from conftest import all_characters, caterpillar, exact_cost
+from conftest import (all_characters, caterpillar, exact_cost, random_tree,
+                      scalar_pattern_value)
 
 
 def random_probs(tree, rng):
@@ -96,6 +99,81 @@ class TestPerCharacter:
         ch = tuple((bits >> i) & 1 for i in range(4))
         value = char_likelihood_pruning(tree, probs, ch)
         assert -1e-15 <= value <= 1.0 + 1e-15
+
+
+# 1.0 is outside [0, 1/2] but is what the optimizer's edge profile feeds
+SPECIAL_PROBS = (0.0, 0.5, 1.0, 1e-300, 5e-324)
+
+
+class TestBatchedKernel:
+    """The batched DP against the scalar recursion, bit for bit."""
+
+    @pytest.mark.parametrize("tree", [random_tree(n, n) for n in range(2, 13)]
+                             + [parse_newick("(1,2,(3,4,5));")],
+                             ids=lambda tree: f"n={tree.n}")
+    def test_bit_identical_to_scalar(self, tree):
+        rng = np.random.default_rng(tree.n)
+        n_edges = len(tree.edges)
+        vecs = [[float(x) for x in rng.uniform(0.0, 0.5, n_edges)]
+                for _ in range(3)]
+        vecs += [[float(x) for x in rng.choice(SPECIAL_PROBS, n_edges)]
+                 for _ in range(4)]
+        vecs += [[p] * n_edges for p in SPECIAL_PROBS]
+        chars = [tuple(int(s) for s in rng.integers(0, 2, tree.n))
+                 for _ in range(6)]
+        chars += [(0,) * tree.n, (1,) * tree.n]
+        for anchor in sorted(tree.vertices):
+            plan = tree.rooted_plan(anchor)
+            batch = pattern_values(plan, vecs, chars)
+            assert batch.shape == (len(vecs), len(chars))
+            for row, vec in zip(batch.tolist(), vecs):
+                assert [f.hex() for f in row] == \
+                    [scalar_pattern_value(plan, vec, ch).hex()
+                     for ch in chars]
+
+    def test_costs_match_one_at_a_time(self):
+        # more vectors than one chunk, tiny ones too, so some rows take the
+        # underflow rescue
+        tree = random_tree(7, 1)
+        data = DataMatrix.from_columns(
+            7, [tuple((b >> i) & 1 for i in range(7)) for b in range(0, 128, 5)])
+        rng = np.random.default_rng(0)
+        vecs = [[float(x) for x in rng.uniform(0.0, 0.5, 11)]
+                for _ in range(2 * CHUNK + 5)]
+        vecs += [[1e-300] * 11, [5e-324] * 11, [0.0] * 11]
+        batched = list(modified_logliks(tree, vecs, data))
+        single = [modified_loglik(tree, EdgeProbs.from_vector(tree, v), data)
+                  for v in vecs]
+        assert [c.hex() for c in batched] == [c.hex() for c in single]
+        plan = tree.rooted_plan()
+        weights = [m for _, m in data.patterns]
+        for vec, value in zip(vecs[:CHUNK], batched):
+            values = [scalar_pattern_value(plan, vec, ch)
+                      for ch, _ in data.patterns]
+            assert value == cost(weights, values, values, 0.0)
+        assert math.isfinite(batched[-2]) and batched[-1] == math.inf
+
+    def test_any_iterable_of_patterns(self, quartet):
+        probs = EdgeProbs.uniform(quartet, 0.1)
+        assert pattern_likelihoods(quartet, probs, []) == []
+        assert pattern_log_likelihoods(quartet, probs, []) == []
+        chars = [(0, 1, 0, 1), (0, 0, 1, 1)]
+        assert pattern_likelihoods(quartet, probs, iter(chars)) == \
+            pattern_likelihoods(quartet, probs, chars)
+        assert pattern_log_likelihoods(quartet, probs, iter(chars)) == \
+            pattern_log_likelihoods(quartet, probs, chars)
+
+    def test_vector_refused_as_edge_probs_refuses(self, quartet):
+        data = DataMatrix.from_columns(4, [(0, 0, 1, 1)])
+        vecs = [[0.1] * 5, [0.1, 0.2, 0.6, 0.1, 0.1]]
+        with pytest.raises(ValueError) as batched:
+            list(modified_logliks(quartet, vecs, data))
+        with pytest.raises(ValueError) as single:
+            EdgeProbs.from_vector(quartet, vecs[1])
+        assert str(batched.value) == str(single.value)
+        assert "outside [0, 1/2]" in str(batched.value)
+        with pytest.raises(ValueError, match="4 probabilities for 5 edges"):
+            list(modified_logliks(quartet, [[0.1] * 4], data))
 
 
 def value_along_reference(weights, at0, at1, x):

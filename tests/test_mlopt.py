@@ -2,9 +2,49 @@ import math
 
 import pytest
 
-from parsiml import (DataMatrix, OptimizerConfig, canonical_newick,
+from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig, canonical_newick,
                      golden_section_minimize, grid_minimum, ml_search,
-                     modified_loglik, optimize_edges, pad_constant_sites)
+                     modified_loglik, optimize_edges, pad_constant_sites,
+                     random_instance)
+from parsiml.likelihood import cost
+from parsiml.mlopt import (MAX_SWEEPS, _coordinate_descent, _Objective,
+                           _starting_points)
+
+from conftest import caterpillar, random_tree, scalar_pattern_value
+
+
+def scalar_descent(tree, data, start, tol):
+    """One start's coordinate descent on the scalar DP, one vector at a time."""
+    plan = tree.rooted_plan()
+    patterns = [ch for ch, _ in data.patterns]
+    weights = [float(m) for _, m in data.patterns]
+
+    def values(vec):
+        return [scalar_pattern_value(plan, vec, ch) for ch in patterns]
+
+    def value(vec):
+        return cost(weights, values(vec), values(vec), 0.0)
+
+    vec = list(start)
+    current = value(vec)
+    for sweep in range(1, MAX_SWEEPS + 1):
+        before = current
+        for i in range(len(vec)):
+            saved = vec[i]
+            vec[i] = 0.0
+            at0 = values(vec)
+            vec[i] = 1.0
+            at1 = values(vec)
+            vec[i] = saved
+            x, fx = golden_section_minimize(
+                lambda t: cost(weights, at0, at1, t), 0.0, 0.5)
+            if fx < current:
+                vec[i] = x
+                current = fx
+        current = value(vec)
+        if before - current < tol:
+            return vec, current, True, sweep
+    return vec, current, False, MAX_SWEEPS
 
 
 class TestGoldenSection:
@@ -79,6 +119,52 @@ class TestOptimizeEdges:
         vec, val = grid_minimum(two_leaf, data)
         assert vec[0] == pytest.approx(0.25, abs=1 / 512)
         assert optimize_edges(two_leaf, data).value <= val + 1e-6
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("tree,seed", [(caterpillar(5), 1),
+                                           (random_tree(6, 2), 2),
+                                           (random_tree(4, 3), 3)],
+                             ids=["n=5", "n=6", "n=4"])
+    def test_equals_single_start_fits(self, tree, seed):
+        data = pad_constant_sites(random_instance(tree.n, 6, seed), 0.5).padded
+        config = OptimizerConfig(restarts=6, seed=seed)
+        starts = _starting_points(tree, data, config, None)
+        obj = _Objective(tree, data)
+        start_values = list(obj.values(starts))
+        lockstep = _coordinate_descent(obj, starts, start_values, config)
+        alone = [_coordinate_descent(obj, [s], [v], config)[0]
+                 for s, v in zip(starts, start_values)]
+        scalar = [scalar_descent(tree, data, s, config.tol) for s in starts]
+        assert lockstep == alone == scalar
+        assert all(converged for _, _, converged, _ in lockstep)
+        best = optimize_edges(tree, data, config)
+        assert best.value == min(value for _, value, _, _ in scalar)
+        assert best.start_values == tuple(start_values)
+
+    def test_starts_leave_the_batch_at_their_own_sweep(self):
+        tree = caterpillar(5)
+        data = pad_constant_sites(random_instance(5, 6, 1), 0.5).padded
+        config = OptimizerConfig(restarts=6, seed=1)
+        starts = _starting_points(tree, data, config, None)
+        obj = _Objective(tree, data)
+        runs = _coordinate_descent(obj, starts, list(obj.values(starts)),
+                                   config)
+        assert len({sweeps for _, _, _, sweeps in runs}) > 1
+
+    def test_underflowed_start_is_rescued(self):
+        # at the canonical q the linear DP underflows on this instance; the
+        # start value is the finite cost modified_loglik reports, not +inf
+        tree = caterpillar(64)
+        data = pad_constant_sites(random_instance(64, 128, 0), 0.15).padded
+        config = OptimizerConfig(restarts=1)
+        start = _starting_points(tree, data, config, None)[0]
+        expected = modified_loglik(tree, EdgeProbs.from_vector(tree, start),
+                                   data)
+        assert expected == 82280.88651438974
+        result = optimize_edges(tree, data, config)
+        assert result.start_values == (expected,)
+        assert result.value <= expected
 
 
 class TestMLSearch:

@@ -7,8 +7,9 @@ from parsiml import (DataMatrix, brute_force_score, canonical_newick,
                      is_constant, mp_search, pad_constant_sites,
                      pad_with_count, parse_newick, parsimony_score,
                      random_instance)
+from parsiml.parsimony import pattern_scores
 
-from conftest import all_characters, caterpillar
+from conftest import all_characters, caterpillar, random_tree
 
 
 class TestFitch:
@@ -113,6 +114,35 @@ class TestMatrixScoreOracle:
                 self.brute_total(tree, base)
             assert parsimony_score(tree, heavy) == \
                 self.brute_total(tree, heavy)
+
+
+class TestPatternScores:
+    """Every pattern's flip count from one pass, against brute force."""
+
+    @pytest.mark.parametrize("tree", [random_tree(n, 10 + n)
+                                      for n in range(4, 9)]
+                             + [parse_newick("(1,2,(3,4,5));"),
+                                parse_newick("(1,2,3,4,5);"),
+                                parse_newick("(1,2);")],
+                             ids=lambda tree: canonical_newick(tree))
+    def test_matches_brute_force(self, tree):
+        chars = list(all_characters(tree.n))
+        assert pattern_scores(tree, chars) == \
+            [brute_force_score(tree, ch) for ch in chars]
+
+    def test_large_counts(self):
+        # flip counts up to 16 need several bit-sliced counters
+        tree = caterpillar(32)
+        chars = [ch for ch, _ in random_instance(32, 64, 5).patterns]
+        chars += [tuple(i % 2 for i in range(32)), (0,) * 32, (1,) * 32]
+        scores = pattern_scores(tree, chars)
+        assert scores == [fitch_score(tree, ch) for ch in chars]
+        assert max(scores) == 16
+
+    def test_edge_cases(self, quartet):
+        assert pattern_scores(quartet, []) == []
+        with pytest.raises(ValueError, match="3 states"):
+            pattern_scores(quartet, [(0, 1, 1)])
 
 
 class TestMatrixScore:
