@@ -23,9 +23,8 @@ from parsiml.reduction import (ReductionQuantities, VerifierReport,
                                verify_claim1, verify_claim2, verify_claim3,
                                verify_prop1_chain)
 from parsiml.trees import (NewickError, TopologyCapError, Tree,
-                           canonical_newick, edge_count, enumerate_topologies,
-                           is_binary, parse_newick, topology_count, validate,
-                           write_newick)
+                           canonical_newick, enumerate_topologies, is_binary,
+                           parse_newick, topology_count, validate)
 
 __version__ = "0.1.0"
 
@@ -44,7 +43,7 @@ __all__ = [
     "quantities_for", "verify_claim1", "verify_claim2", "verify_claim3",
     "verify_prop1_chain",
     "NewickError", "TopologyCapError", "Tree", "canonical_newick",
-    "edge_count", "enumerate_topologies", "is_binary", "parse_newick",
-    "topology_count", "validate", "write_newick",
+    "enumerate_topologies", "is_binary", "parse_newick", "topology_count",
+    "validate",
     "__version__",
 ]

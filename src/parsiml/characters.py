@@ -51,10 +51,11 @@ def complement(ch: Character) -> Character:
 
 
 def _check_character(ch, n: int) -> Character:
-    ch = tuple(int(s) for s in ch)
+    """The one character check: n states, each 0 or 1, as a tuple of ints."""
+    ch = tuple(map(int, ch))
     if len(ch) != n:
-        raise ValueError(f"character has {len(ch)} states, expected {n}")
-    if any(s not in (0, 1) for s in ch):
+        raise ValueError(f"character has {len(ch)} states for {n} leaves")
+    if not {0, 1}.issuperset(ch):
         raise ValueError(f"non-binary state in character {ch}")
     return ch
 

@@ -55,7 +55,6 @@ def _apply_common_defaults(args) -> None:
         "format": "text",
         "out": None,
         "seed": 0,
-        "threads": 1,
         "n_max": _env_int("PARSIML_N_MAX", trees.DEFAULT_TOPOLOGY_CAP),
         "m_min": _env_int("PARSIML_M_MIN", reduction.DEFAULT_M_MIN),
         "timing": False,
@@ -63,10 +62,6 @@ def _apply_common_defaults(args) -> None:
     for name, value in fallback.items():
         if not hasattr(args, name):
             setattr(args, name, value)
-    cores = os.cpu_count() or 1
-    if not 1 <= args.threads <= cores:
-        raise UsageError(f"--threads {args.threads} outside 1..{cores} "
-                         "(the number of CPUs)")
 
 
 def build_parser() -> _Parser:
@@ -83,10 +78,6 @@ def build_parser() -> _Parser:
                         help="write output to FILE instead of stdout")
     common.add_argument("--seed", type=int, default=supp,
                         help="seed for all randomness (default 0)")
-    common.add_argument("--threads", type=int, default=supp,
-                        help="worker cap for the likelihood search "
-                             "(search-ml, verify prop1), 1..CPU count "
-                             "(default 1)")
     common.add_argument("--n-max", type=int, default=supp,
                         help="leaf cap for exhaustive enumeration")
     common.add_argument("--m-min", type=int, default=supp,
@@ -247,8 +238,7 @@ def _cmd_search_ml(args) -> int:
     matrix = characters.parse_matrix(_read(args.matrix))
     config = mlopt.OptimizerConfig(seed=args.seed, restarts=args.restarts,
                                    tol=args.tol)
-    best, ties = mlopt.ml_search(matrix, config, cap=args.n_max,
-                                 n_jobs=args.threads)
+    best, ties = mlopt.ml_search(matrix, config, cap=args.n_max)
     probs_lines = likelihood.write_probs(best.tree, best.probs).splitlines()
     payload = {"cost": best.value, "tree": trees.canonical_newick(best.tree),
                "converged": best.converged, "sweeps": best.sweeps,
@@ -276,8 +266,7 @@ def _cmd_verify(args) -> int:
             raise UsageError("verify prop1 requires --epsilon")
         config = mlopt.OptimizerConfig(seed=args.seed, restarts=args.restarts)
         report = reduction.verify_prop1_chain(
-            matrix, args.epsilon, config, m_min=args.m_min, cap=args.n_max,
-            n_jobs=args.threads)
+            matrix, args.epsilon, config, m_min=args.m_min, cap=args.n_max)
     else:
         if not args.tree:
             raise UsageError(f"verify {args.check} requires --tree")

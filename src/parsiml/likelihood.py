@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from parsiml.characters import DataMatrix
+from parsiml.characters import DataMatrix, _check_character
 from parsiml.trees import Edge, Tree, _normalize_edge
 
 EXHAUSTIVE_CAP = 24
@@ -146,19 +146,13 @@ def char_likelihood_pruning(tree: Tree, probs: EdgeProbs, ch,
     ``anchor`` picks the vertex the recursion hangs from; the value does not
     depend on it (the quantity has no root), which the tests exercise.
     """
-    ch = tuple(int(s) for s in ch)
-    if len(ch) != tree.n:
-        raise ValueError(f"character has {len(ch)} states, tree has {tree.n} leaves")
-    plan = tree.rooted_plan(anchor)
-    return float(pattern_values(plan, [probs.vector(tree)], [ch])[0, 0])
+    return pattern_likelihoods(tree, probs, [ch], anchor)[0]
 
 
 def char_likelihood_exhaustive(tree: Tree, probs: EdgeProbs, ch,
                                cap: int = EXHAUSTIVE_CAP) -> float:
     """Per-character likelihood as a literal sum over all extensions."""
-    ch = tuple(int(s) for s in ch)
-    if len(ch) != tree.n:
-        raise ValueError(f"character has {len(ch)} states, tree has {tree.n} leaves")
+    ch = _check_character(ch, tree.n)
     vec = probs.vector(tree)
     internal = tree.internal_vertices()
     m = len(internal)
@@ -180,9 +174,9 @@ def char_likelihood_exhaustive(tree: Tree, probs: EdgeProbs, ch,
 def pattern_likelihoods(tree: Tree, probs: EdgeProbs, patterns,
                         anchor: int | None = None) -> list[float]:
     """Likelihood of each pattern in one pass over a shared plan."""
+    patterns = [_check_character(ch, tree.n) for ch in patterns]
     plan = tree.rooted_plan(anchor)
-    return pattern_values(plan, [probs.vector(tree)],
-                          [tuple(ch) for ch in patterns])[0].tolist()
+    return pattern_values(plan, [probs.vector(tree)], patterns)[0].tolist()
 
 
 def cost(weights, at0, at1, x: float) -> float:
@@ -258,9 +252,9 @@ def pattern_log_likelihoods(tree: Tree, probs: EdgeProbs,
     digits left) may be an underflow rather than an impossible pattern, so
     its ln f is recomputed in log space, which tells the two apart.
     """
+    patterns = [_check_character(ch, tree.n) for ch in patterns]
     vec = probs.vector(tree)
     plan = tree.rooted_plan()
-    patterns = [tuple(ch) for ch in patterns]
     values = pattern_values(plan, [vec], patterns)[0].tolist()
     return _rescued_logs(plan, vec, patterns, values)
 

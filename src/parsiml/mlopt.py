@@ -6,8 +6,10 @@ term carries the factor p or 1-p exactly once), so each coordinate step
 profiles the pattern values at p=0 and p=1 and then runs a golden-section
 search on the cheap 1-D restriction. The starts of a fit run in lockstep,
 one batched DP pass per edge for all of them, each taking exactly the steps
-it takes alone. The 1-D search stays scalar: roundoff in it could reorder
-topologies tied within ``TIE_TOL``, and so change the reported winner.
+it takes alone. The fit calls the likelihood kernels directly: costs come
+from ``modified_logliks`` and the per-edge profiles from ``pattern_values``.
+The 1-D search stays scalar: roundoff in it could reorder topologies tied
+within ``TIE_TOL``, and so change the reported winner.
 
 Coordinate descent only guarantees a coordinate-wise optimum. That caveat is
 the whole point of the problem this package studies, so it is surfaced, not
@@ -108,37 +110,7 @@ def golden_section_minimize(f, lo: float, hi: float,
     return best_x, best_f
 
 
-class _Objective:
-    """Dataset cost as a function of raw edge-probability vectors."""
-
-    def __init__(self, tree: Tree, data: DataMatrix):
-        if data.n != tree.n:
-            raise ValueError(f"matrix has {data.n} leaves, tree has {tree.n}")
-        self.tree, self.data = tree, data
-        self.plan = tree.rooted_plan()
-        self.states = np.array([ch for ch, _ in data.patterns])
-        self.weights = [float(mult) for _, mult in data.patterns]
-        self.n_edges = len(tree.edges)
-
-    def values(self, vecs):
-        """The cost of each vector, lazily; an underflow stays finite."""
-        return modified_logliks(self.tree, vecs, self.data)
-
-    def edge_profiles(self, vecs, i: int) -> list[tuple[list, list]]:
-        """Per vector, the pattern values at p_i = 0 and at p_i = 1.
-
-        The value at any p_i is the affine blend (1-p)*at0 + p*at1, whose
-        cost is ``cost(weights, at0, at1, p)``.
-        """
-        rows = np.repeat(np.asarray(vecs, dtype=float), 2, axis=0)
-        rows[:, i] = np.tile([0.0, 1.0], len(vecs))
-        values = [row for k in range(0, len(rows), CHUNK) for row in
-                  pattern_values(self.plan, rows[k:k + CHUNK],
-                                 self.states).tolist()]
-        return list(zip(values[0::2], values[1::2]))
-
-
-def _coordinate_descent(obj: _Objective, starts, start_values,
+def _coordinate_descent(tree: Tree, data: DataMatrix, starts, start_values,
                         config: OptimizerConfig) -> list[tuple]:
     """Coordinate descent from every start in lockstep.
 
@@ -146,20 +118,28 @@ def _coordinate_descent(obj: _Objective, starts, start_values,
     that start reaches alone: the starts share only the DP passes. A start
     leaves the batch once a sweep improves it by less than ``tol``.
     """
+    plan = tree.rooted_plan()
+    states = np.array([ch for ch, _ in data.patterns])
+    weights = [float(mult) for _, mult in data.patterns]
     runs = [[[float(x) for x in start], value, False, MAX_SWEEPS]
             for start, value in zip(starts, start_values)]
     active = runs
     for sweep in range(1, MAX_SWEEPS + 1):
         before = [run[1] for run in active]
-        for i in range(obj.n_edges):
-            profiles = obj.edge_profiles([run[0] for run in active], i)
-            for run, (at0, at1) in zip(active, profiles):
+        for i in range(len(tree.edges)):
+            # each vector with p_i = 0 and with p_i = 1: the pattern values
+            # at any p_i are their affine blend, scored by ``cost``
+            rows = np.repeat(np.asarray([run[0] for run in active]), 2, axis=0)
+            rows[:, i] = np.tile([0.0, 1.0], len(active))
+            values = [row for k in range(0, len(rows), CHUNK) for row in
+                      pattern_values(plan, rows[k:k + CHUNK], states).tolist()]
+            for run, at0, at1 in zip(active, values[0::2], values[1::2]):
                 x, fx = golden_section_minimize(
-                    lambda t: cost(obj.weights, at0, at1, t), 0.0, 0.5)
+                    lambda t: cost(weights, at0, at1, t), 0.0, 0.5)
                 if fx < run[1]:
                     run[0][i], run[1] = x, fx
         # resync against 1-D roundoff drift
-        resynced = obj.values([run[0] for run in active])
+        resynced = modified_logliks(tree, [run[0] for run in active], data)
         for run, value, old in zip(active, resynced, before):
             run[1] = value
             if old - value < config.tol:
@@ -190,13 +170,12 @@ def grid_minimum(tree: Tree, data: DataMatrix, initial_step: float = 0.125,
     step/shrink, so the defaults end at resolution 1/512. Exponential in the
     edge count; meant for trees with at most five edges.
     """
-    obj = _Objective(tree, data)
-    n_edges = obj.n_edges
+    n_edges = len(tree.edges)
 
     def sweep(axes):
         best_vec, best_val = None, math.inf
         points = list(itertools.product(*axes))
-        for point, val in zip(points, obj.values(points)):
+        for point, val in zip(points, modified_logliks(tree, points, data)):
             if val < best_val:
                 best_vec, best_val = list(point), val
         return best_vec, best_val
@@ -227,11 +206,10 @@ def optimize_edges(tree: Tree, data: DataMatrix,
     vector found is returned regardless so callers can still compare.
     """
     config = config or OptimizerConfig()
-    obj = _Objective(tree, data)
     starts = _starting_points(tree, data, config, seed)
-    start_values = tuple(obj.values(starts))
+    start_values = tuple(modified_logliks(tree, starts, data))
     best = None
-    for run in _coordinate_descent(obj, starts, start_values, config):
+    for run in _coordinate_descent(tree, data, starts, start_values, config):
         if best is None or run[1] < best[1]:
             best = run
     vec, val, converged, sweeps = best

@@ -5,23 +5,18 @@ endpoints differ, over all ways of assigning states to the internal
 vertices. The fast path is one set rule run on every pattern at once, with
 bit j of a Python int standing for pattern j; the brute-force path
 enumerates every internal assignment and is kept as an independent oracle.
+Both take their characters through ``characters._check_character``, and
+complete and partial trees alike are walked along plans from
+``trees._postorder``.
 """
 
 from __future__ import annotations
 
-from parsiml.characters import Character, DataMatrix
-from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, canonical_newick,
-                           enumerate_topologies)
+from parsiml.characters import DataMatrix, _check_character
+from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, _postorder,
+                           canonical_newick, enumerate_topologies)
 
 BRUTE_FORCE_CAP = 24
-
-
-def _check_length(tree: Tree, ch) -> Character:
-    ch = tuple(int(s) for s in ch)
-    if len(ch) != tree.n:
-        raise ValueError(
-            f"character has {len(ch)} states, tree has {tree.n} leaves")
-    return ch
 
 
 class _PatternMasks:
@@ -107,27 +102,6 @@ class _PatternMasks:
         return misses
 
 
-def _plan_of_edges(edges, root: int) -> list:
-    """:meth:`Tree.rooted_plan` for a bare edge list, without a ``Tree``.
-
-    The edges must form one tree, as the partial trees of
-    :func:`enumerate_topologies` do; nothing here checks it.
-    """
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    parent = {root: None}
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    return [(v, [(w, None) for w in adj[v] if w != parent[v]])
-            for v in reversed(order)]
-
-
 def fitch_score(tree: Tree, ch) -> int:
     """Minimum number of state flips for one character, exactly.
 
@@ -137,13 +111,12 @@ def fitch_score(tree: Tree, ch) -> int:
     this is the classical intersect-else-union rule; on multifurcations the
     majority count is what keeps the result equal to the true minimum.
     """
-    ch = _check_length(tree, ch)
-    return _PatternMasks(tree.n, [(ch, 1)]).score(tree.rooted_plan())
+    return pattern_scores(tree, [ch])[0]
 
 
 def pattern_scores(tree: Tree, patterns) -> list[int]:
     """:func:`fitch_score` of every pattern, from one bitmask pass."""
-    patterns = [(_check_length(tree, ch), 1) for ch in patterns]
+    patterns = [(_check_character(ch, tree.n), 1) for ch in patterns]
     misses = _PatternMasks(tree.n, patterns).misses(tree.rooted_plan())
     return [sum(m >> j & 1 for m in misses) for j in range(len(patterns))]
 
@@ -153,7 +126,7 @@ def brute_force_score(tree: Tree, ch, cap: int = BRUTE_FORCE_CAP) -> int:
 
     Independent of :func:`fitch_score`; used to cross-check it.
     """
-    ch = _check_length(tree, ch)
+    ch = _check_character(ch, tree.n)
     internal = tree.internal_vertices()
     m = len(internal)
     if m > cap:
@@ -198,7 +171,7 @@ def mp_search(data: DataMatrix,
 
     def bound(edges) -> bool:
         nonlocal scored
-        scored = masks.score(_plan_of_edges(edges, root))
+        scored = masks.score(_postorder(edges, root))
         return best is not None and scored > best
 
     optima: list[Tree] = []

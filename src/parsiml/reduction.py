@@ -469,8 +469,7 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
 def verify_prop1_chain(base: DataMatrix, epsilon: float,
                        config: OptimizerConfig | None = None,
                        m_min: int = DEFAULT_M_MIN,
-                       cap: int = DEFAULT_TOPOLOGY_CAP,
-                       n_jobs: int = 1) -> VerifierReport:
+                       cap: int = DEFAULT_TOPOLOGY_CAP) -> VerifierReport:
     """End-to-end reduction experiment with exact search standing in for a
     hypothetical approximation algorithm (ratio 1 + c with c = 0).
 
@@ -497,7 +496,7 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
                               padded.params.pad_count)
     instance = f"n={base.n} k={base.k} N_c={padded.params.pad_count}"
 
-    ml_best, ml_ties = ml_search(padded.padded, config, cap=cap, n_jobs=n_jobs)
+    ml_best, ml_ties = ml_search(padded.padded, config, cap=cap)
     normalizer = math.log(padded.padded.k)
     lhs_opt = ml_best.value / normalizer
 

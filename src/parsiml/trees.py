@@ -9,6 +9,10 @@ Canonical serialization: the tree is rooted at the internal vertex adjacent
 to leaf 1 (for two leaves, at leaf 1 itself) and children are sorted
 recursively by the smallest leaf in their subtree. Two trees describe the
 same topology exactly when their canonical Newick strings match.
+
+Every traversal is a postorder plan from one builder, :func:`_postorder`,
+which :meth:`Tree.rooted_plan` caches per anchor and ``parsimony.mp_search``
+runs on its partial trees, bare edge lists.
 """
 
 from __future__ import annotations
@@ -36,6 +40,37 @@ def _normalize_edge(u: int, v: int) -> Edge:
     if u == v:
         raise ValueError(f"self-loop on vertex {u}")
     return (u, v) if u < v else (v, u)
+
+
+def _postorder(edges, anchor: int) -> tuple:
+    """Postorder plan of the tree ``edges`` form, hanging from ``anchor``.
+
+    Shaped as :meth:`Tree.rooted_plan` returns it, each child's edge given
+    by its index in ``edges``. Neighbours are visited in edge order, so
+    sorted edges give sorted neighbours. Raises ValueError on a cycle or a
+    vertex the walk cannot reach.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i, (u, v) in enumerate(edges):
+        adj.setdefault(u, []).append((v, i))
+        adj.setdefault(v, []).append((u, i))
+    parent: dict[int, tuple[int, int] | None] = {anchor: None}
+    preorder = []
+    stack = [anchor]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        for w, i in adj[v]:
+            if w not in parent:
+                parent[w] = (v, i)
+                stack.append(w)
+    if len(edges) != len(preorder) - 1:  # a cycle or an unreached part
+        raise ValueError("the edges do not form one tree")
+    children: dict[int, list] = {v: [] for v in preorder}
+    for v in preorder[1:]:
+        p, i = parent[v]
+        children[p].append((v, i))
+    return tuple((v, tuple(children[v])) for v in reversed(preorder))
 
 
 class Tree:
@@ -123,27 +158,8 @@ class Tree:
         if anchor is None:
             anchor = self.canonical_root()
         plan = self._plans.get(anchor)
-        if plan is not None:
-            return plan
-        parent: dict[int, int | None] = {anchor: None}
-        preorder = []
-        stack = [anchor]
-        while stack:
-            v = stack.pop()
-            preorder.append(v)
-            for w in self._adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    stack.append(w)
-        if len(self.edges) != len(preorder) - 1:  # a cycle or an unreached part
-            raise ValueError("the edges do not form one tree")
-        children: dict[int, list] = {v: [] for v in preorder}
-        for v in preorder:
-            p = parent[v]
-            if p is not None:
-                children[p].append((v, self._edge_index[_normalize_edge(p, v)]))
-        plan = tuple((v, tuple(children[v])) for v in reversed(preorder))
-        self._plans[anchor] = plan
+        if plan is None:
+            plan = self._plans[anchor] = _postorder(self.edges, anchor)
         return plan
 
     # -- identity ----------------------------------------------------------
@@ -161,11 +177,6 @@ class Tree:
             return f"Tree({canonical_newick(self)!r})"
         except Exception:
             return f"Tree(n={self.n}, edges={self.edges})"
-
-
-def edge_count(tree: Tree) -> int:
-    """Number of edges; 2n-3 for a binary tree on n >= 3 leaves."""
-    return len(tree.edges)
 
 
 def is_binary(tree: Tree) -> bool:
@@ -234,11 +245,6 @@ def canonical_newick(tree: Tree) -> str:
     text = sub[tree.canonical_root()][1] + ";"
     tree._canonical = text
     return text
-
-
-def write_newick(tree: Tree) -> str:
-    """Newick text for a tree; always the canonical form."""
-    return canonical_newick(tree)
 
 
 def parse_newick(text: str) -> Tree:

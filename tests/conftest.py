@@ -115,3 +115,27 @@ def scalar_pattern_value(plan, vec, ch) -> float:
     if root <= len(ch):
         return like0 if ch[root - 1] == 0 else like1
     return like0 + like1
+
+
+def reference_rooted_plan(tree: Tree, anchor: int):
+    """Postorder plan by the stack walk ``Tree.rooted_plan`` first used.
+
+    The reference the shared traversal builder must reproduce exactly:
+    vertex order, child order and edge indices.
+    """
+    parent = {anchor: None}
+    preorder = []
+    stack = [anchor]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        for w in tree.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                stack.append(w)
+    children = {v: [] for v in preorder}
+    for v in preorder:
+        p = parent[v]
+        if p is not None:
+            children[p].append((v, tree.edge_index(p, v)))
+    return tuple((v, tuple(children[v])) for v in reversed(preorder))

@@ -1,18 +1,26 @@
-"""The names the benchmark's tracer swaps must still exist in the package.
+"""The names the benchmark uses must still exist in the package.
 
 ``bench/tracing.py`` wraps ``(module, attribute)`` pairs by name; a rename
 under ``src/`` would make ``bench/run.py --trace 1`` fail at install time.
-The site tables are read from the file's source, without importing it.
+The workloads call the package as ``P.<name>(..., keyword=...)``; a removed
+name or parameter would fail them at run time. Everything is read from the
+files' source with ``ast``, without importing anything from ``bench/``.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+import parsiml
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 TABLES = ("SPAN_SITES", "COUNT_SITES", "GENERATOR_SITES")
+# names the package is bound to in bench/*.py
+ROOTS = ("P", "parsiml")
 
 
 def site_tables() -> dict:
@@ -37,3 +45,62 @@ def test_sites_resolve(table):
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), \
             f"{module_name}.{attr} is gone"
+
+
+def package_chain(node) -> list[str] | None:
+    """["EdgeProbs", "uniform"] for ``P.EdgeProbs.uniform``; else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in ROOTS and names:
+        return names[::-1]
+    return None
+
+
+def bench_uses() -> tuple[set, set]:
+    """Every package attribute chain read, and every (chain, keyword) passed."""
+    chains, keywords = set(), set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            chain = package_chain(node)
+            if chain:
+                chains.add(tuple(chain))
+            if isinstance(node, ast.Call):
+                chain = package_chain(node.func)
+                if chain:
+                    keywords.update((tuple(chain), kw.arg)
+                                    for kw in node.keywords if kw.arg)
+    return chains, keywords
+
+
+def resolve(chain):
+    """The package object a chain names, or None once it is gone."""
+    obj = parsiml
+    for name in chain:
+        obj = getattr(obj, name, None)
+    return obj
+
+
+def test_bench_names_resolve():
+    chains, _ = bench_uses()
+    assert {("EdgeProbs", "uniform"), ("reduction", "ml_search")} <= chains
+    missing = [".".join(c) for c in sorted(chains) if resolve(c) is None]
+    assert not missing, f"bench reads names the package lacks: {missing}"
+
+
+def test_bench_keywords_are_parameters():
+    _, keywords = bench_uses()
+    assert {(("ml_search",), "n_jobs"), (("pattern_likelihoods",), "anchor"),
+            (("verify_claim1",), "epsilon"), (("verify_claim2",), "trials"),
+            (("verify_claim2",), "seed"), (("verify_claim3",), "trials"),
+            (("verify_claim3",), "seed"), (("verify_claim3",), "epsilon"),
+            (("OptimizerConfig",), "seed")} <= keywords
+    unknown = []
+    for chain, keyword in sorted(keywords):
+        target = resolve(chain)
+        params = inspect.signature(target).parameters if target else {}
+        takes_any = any(p.kind is p.VAR_KEYWORD for p in params.values())
+        if keyword not in params and not takes_any:
+            unknown.append(f"{'.'.join(chain)}({keyword}=)")
+    assert not unknown, f"bench passes keywords the package lacks: {unknown}"

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsiml import (DataMatrix, MatrixFormatError, PaddingCapError,
-                     complement, is_constant, pad_constant_sites,
-                     pad_with_count, parse_matrix, random_instance,
-                     write_matrix)
+from parsiml import (DataMatrix, EdgeProbs, MatrixFormatError,
+                     PaddingCapError, brute_force_score,
+                     char_likelihood_exhaustive, char_likelihood_pruning,
+                     complement, fitch_score, is_constant, pad_constant_sites,
+                     pad_with_count, parse_matrix, parse_newick,
+                     pattern_likelihoods, pattern_log_likelihoods,
+                     random_instance, write_matrix)
 from parsiml.characters import PAD_LIMIT
+from parsiml.parsimony import pattern_scores
 
 characters = st.integers(1, 8).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple))
@@ -76,6 +80,34 @@ class TestDataMatrix:
     def test_expanded_columns_preserve_k(self):
         m = DataMatrix.from_columns(3, [(0, 0, 1)] * 5 + [(1, 0, 1)])
         assert len(list(m.expanded_columns())) == m.k == 6
+
+
+_QUARTET = parse_newick("((1,2),(3,4));")
+_PROBS = EdgeProbs.uniform(_QUARTET, 0.1)
+# every entry point that scores a character on a tree, on one character
+_SCORERS = {
+    "pattern_likelihoods": lambda ch: pattern_likelihoods(_QUARTET, _PROBS, [ch]),
+    "pattern_log_likelihoods":
+        lambda ch: pattern_log_likelihoods(_QUARTET, _PROBS, [ch]),
+    "char_likelihood_pruning":
+        lambda ch: char_likelihood_pruning(_QUARTET, _PROBS, ch),
+    "char_likelihood_exhaustive":
+        lambda ch: char_likelihood_exhaustive(_QUARTET, _PROBS, ch),
+    "pattern_scores": lambda ch: pattern_scores(_QUARTET, [ch]),
+    "fitch_score": lambda ch: fitch_score(_QUARTET, ch),
+    "brute_force_score": lambda ch: brute_force_score(_QUARTET, ch),
+}
+
+
+class TestScoredCharacterCheck:
+    @pytest.mark.parametrize("ch", [(0, 1, 0, 1, 1, 1), (0, 1, 0), (0, 2, 0, 1)],
+                             ids=["too-long", "too-short", "non-binary"])
+    @pytest.mark.parametrize("scorer", sorted(_SCORERS))
+    def test_refused(self, scorer, ch):
+        # the message is the shared check's: no entry point reads past the
+        # leaves or scores a state outside {0,1}
+        with pytest.raises(ValueError, match="states for 4 leaves|non-binary"):
+            _SCORERS[scorer](ch)
 
 
 class TestPadding:

@@ -6,9 +6,8 @@ from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig, canonical_newick,
                      golden_section_minimize, grid_minimum, ml_search,
                      modified_loglik, optimize_edges, pad_constant_sites,
                      random_instance)
-from parsiml.likelihood import cost
-from parsiml.mlopt import (MAX_SWEEPS, _coordinate_descent, _Objective,
-                           _starting_points)
+from parsiml.likelihood import cost, modified_logliks
+from parsiml.mlopt import MAX_SWEEPS, _coordinate_descent, _starting_points
 
 from conftest import caterpillar, random_tree, scalar_pattern_value
 
@@ -130,10 +129,10 @@ class TestLockstep:
         data = pad_constant_sites(random_instance(tree.n, 6, seed), 0.5).padded
         config = OptimizerConfig(restarts=6, seed=seed)
         starts = _starting_points(tree, data, config, None)
-        obj = _Objective(tree, data)
-        start_values = list(obj.values(starts))
-        lockstep = _coordinate_descent(obj, starts, start_values, config)
-        alone = [_coordinate_descent(obj, [s], [v], config)[0]
+        start_values = list(modified_logliks(tree, starts, data))
+        lockstep = _coordinate_descent(tree, data, starts, start_values,
+                                       config)
+        alone = [_coordinate_descent(tree, data, [s], [v], config)[0]
                  for s, v in zip(starts, start_values)]
         scalar = [scalar_descent(tree, data, s, config.tol) for s in starts]
         assert lockstep == alone == scalar
@@ -147,8 +146,8 @@ class TestLockstep:
         data = pad_constant_sites(random_instance(5, 6, 1), 0.5).padded
         config = OptimizerConfig(restarts=6, seed=1)
         starts = _starting_points(tree, data, config, None)
-        obj = _Objective(tree, data)
-        runs = _coordinate_descent(obj, starts, list(obj.values(starts)),
+        runs = _coordinate_descent(tree, data, starts,
+                                   list(modified_logliks(tree, starts, data)),
                                    config)
         assert len({sweeps for _, _, _, sweeps in runs}) > 1
 

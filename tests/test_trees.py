@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsiml import (NewickError, TopologyCapError, Tree, canonical_newick,
-                     edge_count, enumerate_topologies, is_binary,
-                     parse_newick, topology_count, validate, write_newick)
+                     enumerate_topologies, is_binary, parse_newick,
+                     topology_count, validate)
 
-from conftest import caterpillar
+from conftest import caterpillar, reference_rooted_plan
 
 
 @st.composite
@@ -30,17 +30,17 @@ def _topology(n, index):
 
 class TestEdgeCount:
     def test_quartet(self, quartet):
-        assert edge_count(quartet) == 5
+        assert len(quartet.edges) == 5
 
     def test_two_leaf(self, two_leaf):
-        assert edge_count(two_leaf) == 1
+        assert len(two_leaf.edges) == 1
 
     def test_binary_five_leaf(self):
-        assert edge_count(caterpillar(5)) == 7
+        assert len(caterpillar(5).edges) == 7
 
     @given(binary_trees())
     def test_binary_formula(self, tree):
-        assert edge_count(tree) == 2 * tree.n - 3
+        assert len(tree.edges) == 2 * tree.n - 3
 
 
 class TestValidate:
@@ -92,6 +92,24 @@ class TestValidate:
             assert validate(tree) == []
 
 
+class TestRootedPlan:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_matches_reference_at_every_anchor(self, n):
+        for tree in enumerate_topologies(n):
+            for anchor in tree.vertices:
+                assert tree.rooted_plan(anchor) == \
+                    reference_rooted_plan(tree, anchor)
+
+    @pytest.mark.parametrize("text", ["(1,2);", "(1,2,3,4,5);",
+                                      "((1,2,3),(4,5,6));",
+                                      "(1,(2,3,4),(5,6,7,8));"])
+    def test_matches_reference_off_binary(self, text):
+        tree = parse_newick(text)
+        for anchor in tree.vertices:
+            assert tree.rooted_plan(anchor) == \
+                reference_rooted_plan(tree, anchor)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,expected", [(3, 1), (4, 3), (5, 15), (6, 105), (7, 945)])
     def test_counts_and_uniqueness(self, n, expected):
@@ -136,19 +154,19 @@ class TestEnumeration:
 class TestNewick:
     def test_parse_quartet(self, quartet):
         assert quartet.n == 4
-        assert edge_count(quartet) == 5
+        assert len(quartet.edges) == 5
         assert canonical_newick(quartet) == "(1,2,(3,4));"
 
     def test_write_parse_round_trip(self, quartet):
-        text = write_newick(quartet)
+        text = canonical_newick(quartet)
         again = parse_newick(text)
         assert canonical_newick(again) == text
 
     def test_write_of_parse_is_idempotent(self):
         for raw in ["((1,2),(3,4));", "((3,4),(2,1));", "(4,(1,2),3);",
                     "(1,2);", "(1,(2,(3,(4,5))));"]:
-            once = write_newick(parse_newick(raw))
-            assert write_newick(parse_newick(once)) == once
+            once = canonical_newick(parse_newick(raw))
+            assert canonical_newick(parse_newick(once)) == once
 
     def test_multifurcation_allowed(self):
         star = parse_newick("(1,2,3,4);")
@@ -194,7 +212,7 @@ class TestNewick:
         for leaf in range(n - 1, 0, -1):
             text = f"({leaf},{text})"
         tree = parse_newick(text + ";")
-        assert tree.n == n and edge_count(tree) == 2 * n - 3
+        assert tree.n == n and len(tree.edges) == 2 * n - 3
         canon = canonical_newick(tree)
         assert canon == canonical_newick(caterpillar(n))
         assert canonical_newick(parse_newick(canon)) == canon
@@ -211,4 +229,4 @@ class TestNewick:
     @given(binary_trees())
     @settings(max_examples=60)
     def test_round_trip_any_topology(self, tree):
-        assert canonical_newick(parse_newick(write_newick(tree))) == canonical_newick(tree)
+        assert canonical_newick(parse_newick(canonical_newick(tree))) == canonical_newick(tree)
