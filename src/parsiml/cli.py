@@ -185,12 +185,18 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _padded(base, args):
+    # --nc overrides epsilon: verify takes both, pad exactly one of them
+    if args.nc is not None:
+        return characters.pad_with_count(base, args.nc)
+    if args.epsilon is None:
+        raise UsageError(f"verify {args.check} requires --epsilon or --nc")
+    return characters.pad_constant_sites(base, args.epsilon)
+
+
 def _cmd_pad(args) -> int:
     base = characters.parse_matrix(_read(args.matrix))
-    if args.epsilon is not None:
-        padded = characters.pad_constant_sites(base, args.epsilon)
-    else:
-        padded = characters.pad_with_count(base, args.nc)
+    padded = _padded(base, args)
     params = padded.params
     text = characters.write_matrix(padded.padded, compressed=True)
     header = (f"# padded: M={params.size} N_c={params.pad_count} "
@@ -271,12 +277,7 @@ def _cmd_verify(args) -> int:
         if not args.tree:
             raise UsageError(f"verify {args.check} requires --tree")
         tree = trees.parse_newick(_read(args.tree))
-        if args.nc is not None:
-            padded = characters.pad_with_count(matrix, args.nc)
-        elif args.epsilon is not None:
-            padded = characters.pad_constant_sites(matrix, args.epsilon)
-        else:
-            raise UsageError(f"verify {args.check} requires --epsilon or --nc")
+        padded = _padded(matrix, args)
         if args.check == "claim1":
             report = reduction.verify_claim1(padded, tree,
                                              epsilon=args.epsilon,
@@ -293,12 +294,9 @@ def _cmd_verify(args) -> int:
                                              m_min=args.m_min)
     if not args.timing:
         report.runtime_ms = None
-    if args.format == "json":
-        _emit(args, report.to_json())
-    elif args.format == "csv":
-        _emit(args, report.to_csv_row())
-    else:
-        _emit(args, report.to_text())
+    render = {"json": report.to_json, "csv": report.to_csv_row,
+              "text": report.to_text}
+    _emit(args, render[args.format]())
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -317,14 +315,20 @@ _COMMANDS = {
 def run(argv=None) -> int:
     """Parse ``argv`` and execute one subcommand; returns the exit code."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for flag, value in zip(argv, argv[1:]):
+        # argparse files an unknown flag before the verb under extras and
+        # then reads the flag's value as the verb; name the flag instead
+        if flag in _COMMANDS or value in _COMMANDS:
+            break
+        if (flag.startswith("-") and not value.startswith("-")
+                and flag.split("=")[0] not in parser._option_string_actions):
+            parser.error(f"unrecognized arguments: {flag} {value}")
     args = parser.parse_args(argv)
     try:
         _apply_common_defaults(args)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"parsiml: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"parsiml: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,7 +28,8 @@ explicit constant, so each verifier grades a failed bound as inconclusive
 when the instance size M is below a configurable threshold, and only as a
 failure above it. Margins are always reported either way; the unconditional
 per-character inequalities have no such escape hatch and any violation is a
-hard failure.
+hard failure. That rule lives in one place, :func:`_grade`, and every report
+is built by :func:`_report`, which fills the fields all checks share.
 """
 
 from __future__ import annotations
@@ -175,14 +176,8 @@ class VerifierReport:
                           indent=2) + "\n"
 
     def to_csv_row(self) -> str:
-        row = {
-            "check": self.check, "instance": self.instance,
-            "epsilon": self.epsilon, "M": self.size, "N_c": self.pad_count,
-            "q": self.q, "p_bar": self.p_bar, "lhs": self.lhs,
-            "bound": self.bound, "margin": self.margin,
-            "verdict": self.verdict, "trials": self.trials,
-            "seed": self.seed, "runtime_ms": self.runtime_ms,
-        }
+        row = self.to_json_dict()
+        row.update(row.pop("quantities"))
         return csv_text([format_cell(row[name]) for name in CSV_FIELDS])
 
     def to_text(self) -> str:
@@ -192,7 +187,8 @@ class VerifierReport:
             f"quantities  epsilon={format_cell(self.epsilon)} M={self.size} "
             f"N_c={self.pad_count} q={format_cell(self.q)} "
             f"p_bar={format_cell(self.p_bar)}",
-            f"inequality  lhs={format_cell(self.lhs)} {_direction_glyph(self.direction)} "
+            f"inequality  lhs={format_cell(self.lhs)} "
+            f"{'<=' if self.direction == 'lhs<=bound' else '>='} "
             f"bound={format_cell(self.bound)}  margin={format_cell(self.margin)}",
             f"verdict   {self.verdict.upper()}"
             + (f"  ({self.note})" if self.note else ""),
@@ -200,10 +196,6 @@ class VerifierReport:
         if self.trials is not None:
             lines.append(f"trials    {self.trials}  seed={self.seed}")
         return "\n".join(lines) + "\n"
-
-
-def _direction_glyph(direction: str) -> str:
-    return "<=" if direction == "lhs<=bound" else ">="
 
 
 def csv_text(*rows) -> str:
@@ -216,11 +208,7 @@ def format_cell(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
+        return repr(value) if math.isfinite(value) else jsonable(value)
     return value
 
 
@@ -229,19 +217,9 @@ def jsonable(obj):
         return {key: jsonable(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(val) for val in obj]
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "inf", "-inf" or "nan"
     return obj
-
-
-def _instance_descriptor(padded: PaddedInstance, tree: Tree | None) -> str:
-    text = f"n={padded.base.n} k={padded.base.k} N_c={padded.params.pad_count}"
-    if tree is not None:
-        text += f" tree={canonical_newick(tree)}"
-    return text
 
 
 def _per_char_lower_bound_violations(tree: Tree, padded: PaddedInstance,
@@ -273,19 +251,58 @@ def _per_char_upper_bound_violations(tree: Tree, padded: PaddedInstance,
                if not is_constant(ch))
 
 
-def _degenerate_report(check: str, padded: PaddedInstance, tree: Tree,
-                       qty: ReductionQuantities) -> VerifierReport:
-    # l = 0 means every character is constant; padding changes nothing and
-    # the all-zero probability vector already achieves cost 0 = l.
-    probs = EdgeProbs.uniform(tree, 0.0)
-    lhs = normalized_cost(tree, probs, padded)
+def _epsilon(padded: PaddedInstance, epsilon: float | None) -> float:
+    """``epsilon``, else the padding's; refuses when neither is set."""
+    epsilon = padded.params.epsilon if epsilon is None else epsilon
+    if epsilon is None:
+        raise ValueError("epsilon is required (the padding carried none)")
+    return epsilon
+
+
+def _report(check: str, padded: PaddedInstance, tree: Tree | None,
+            qty: ReductionQuantities, epsilon: float | None = None,
+            **fields) -> VerifierReport:
+    """A report with the fields every check fills alike: the instance
+    (tree-less when ``tree`` is None), epsilon (the padding's by default),
+    M, N_c, q and p_bar."""
+    instance = f"n={padded.base.n} k={padded.base.k} N_c={qty.pad_count}"
+    if tree is not None:
+        instance += f" tree={canonical_newick(tree)}"
     return VerifierReport(
-        check=check, instance=_instance_descriptor(padded, tree),
-        epsilon=padded.params.epsilon, size=padded.params.size,
-        pad_count=qty.pad_count, q=0.0, p_bar=0.0,
-        lhs=lhs, bound=0.0, direction="lhs<=bound",
-        preconditions_met=True, verdict="pass",
-        note="degenerate: flip score is 0, cost 0 attained at p = 0")
+        check=check, instance=instance,
+        epsilon=padded.params.epsilon if epsilon is None else epsilon,
+        size=padded.params.size, pad_count=qty.pad_count, q=qty.q,
+        p_bar=qty.p_bar, **fields)
+
+
+def _grade(hard: str, held: bool, preconditions: bool, small_note: str,
+           pass_note="", large_note="bound failed on a large instance"):
+    """The one verdict rule, as ``(verdict, note)``.
+
+    A hard violation (a non-empty ``hard`` note) fails; a bound that held
+    passes; a failed bound is inconclusive when the preconditions are
+    unmet, and fails otherwise.
+    """
+    if hard:
+        return "fail", hard
+    if held:
+        return "pass", pass_note
+    if not preconditions:
+        return "inconclusive", small_note
+    return "fail", large_note
+
+
+def _degenerate_report(check: str, padded: PaddedInstance, tree: Tree,
+                       qty: ReductionQuantities,
+                       epsilon: float | None = None) -> VerifierReport:
+    # l = 0 means every character is constant; padding changes nothing and
+    # the all-zero probability vector already achieves cost 0 = l. q and
+    # p_bar are exactly 0.0 at l = 0.
+    lhs = normalized_cost(tree, EdgeProbs.uniform(tree, 0.0), padded)
+    return _report(check, padded, tree, qty, epsilon, lhs=lhs, bound=0.0,
+                   direction="lhs<=bound", preconditions_met=True,
+                   verdict="pass",
+                   note="degenerate: flip score is 0, cost 0 attained at p = 0")
 
 
 def verify_claim1(padded: PaddedInstance, tree: Tree,
@@ -299,36 +316,23 @@ def verify_claim1(padded: PaddedInstance, tree: Tree,
     instance with M below ``m_min`` is graded inconclusive.
     """
     started = time.perf_counter()
-    epsilon = padded.params.epsilon if epsilon is None else epsilon
-    if epsilon is None:
-        raise ValueError("epsilon is required (the padding carried none)")
+    epsilon = _epsilon(padded, epsilon)
     qty = quantities_for(tree, padded)
     if qty.score == 0:
-        return _degenerate_report("claim1", padded, tree, qty)
+        return _degenerate_report("claim1", padded, tree, qty, epsilon)
 
-    q = qty.q
-    lhs = normalized_cost(tree, EdgeProbs.uniform(tree, q), padded)
+    lhs = normalized_cost(tree, EdgeProbs.uniform(tree, qty.q), padded)
     bound = (1.0 + 2.0 * epsilon) * qty.score
-    per_char_bad = _per_char_lower_bound_violations(tree, padded, q)
+    per_char_bad = _per_char_lower_bound_violations(tree, padded, qty.q)
     preconditions = padded.params.size >= m_min
-    if per_char_bad:
-        verdict = "fail"
-        note = f"{per_char_bad} per-character lower-bound violations"
-    elif lhs <= bound:
-        verdict = "pass"
-        note = ""
-    elif not preconditions:
-        verdict = "inconclusive"
-        note = f"bound failed but M={padded.params.size} < M_min={m_min}"
-    else:
-        verdict = "fail"
-        note = "bound failed on a large instance"
-    return VerifierReport(
-        check="claim1", instance=_instance_descriptor(padded, tree),
-        epsilon=epsilon, size=padded.params.size, pad_count=qty.pad_count,
-        q=q, p_bar=qty.p_bar, lhs=lhs, bound=bound, direction="lhs<=bound",
-        preconditions_met=preconditions, verdict=verdict, note=note,
-        runtime_ms=_elapsed_ms(started),
+    verdict, note = _grade(
+        f"{per_char_bad} per-character lower-bound violations"
+        if per_char_bad else "", lhs <= bound, preconditions,
+        f"bound failed but M={padded.params.size} < M_min={m_min}")
+    return _report(
+        "claim1", padded, tree, qty, epsilon, lhs=lhs, bound=bound,
+        direction="lhs<=bound", preconditions_met=preconditions,
+        verdict=verdict, note=note, runtime_ms=_elapsed_ms(started),
         details={"score": qty.score,
                  "per_char_checked": len(padded.padded.patterns),
                  "per_char_violations": per_char_bad})
@@ -351,13 +355,10 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
     if qty.score == 0:
         return _degenerate_report("claim2", padded, tree, qty)
     p_bar = qty.p_bar
-    instance = _instance_descriptor(padded, tree)
     if p_bar >= 0.5:
-        return VerifierReport(
-            check="claim2", instance=instance,
-            epsilon=padded.params.epsilon, size=padded.params.size,
-            pad_count=qty.pad_count, q=qty.q, p_bar=p_bar,
-            lhs=math.inf, bound=float(qty.score), direction="lhs>=bound",
+        return _report(
+            "claim2", padded, tree, qty, lhs=math.inf,
+            bound=float(qty.score), direction="lhs>=bound",
             preconditions_met=True, verdict="pass",
             note=f"vacuous: p_bar={p_bar} >= 1/2, no admissible vector "
                  "exceeds the threshold",
@@ -374,19 +375,13 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
                                 + (0.5 - p_bar) * (1.0 - float(rng.random())))
             yield vec
 
-    worst = math.inf
-    violations = 0
-    for cost in normalized_costs(tree, draws(), padded):
-        if cost <= qty.score:
-            violations += 1
-        if cost < worst:
-            worst = cost
-    verdict = "pass" if violations == 0 else "fail"
-    return VerifierReport(
-        check="claim2", instance=instance, epsilon=padded.params.epsilon,
-        size=padded.params.size, pad_count=qty.pad_count, q=qty.q,
-        p_bar=p_bar, lhs=worst, bound=float(qty.score),
-        direction="lhs>=bound", preconditions_met=True, verdict=verdict,
+    costs = list(normalized_costs(tree, draws(), padded))
+    worst = min(costs)
+    violations = sum(cost <= qty.score for cost in costs)
+    return _report(
+        "claim2", padded, tree, qty, lhs=worst, bound=float(qty.score),
+        direction="lhs>=bound", preconditions_met=True,
+        verdict="pass" if violations == 0 else "fail",
         note="" if violations == 0 else f"{violations} trials at or below the score",
         trials=trials, seed=seed, runtime_ms=_elapsed_ms(started),
         details={"score": qty.score, "violations": violations,
@@ -409,12 +404,10 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
     if trials < 0:
         raise ValueError(f"claim3 needs trials >= 0, got {trials}")
     started = time.perf_counter()
-    epsilon = padded.params.epsilon if epsilon is None else epsilon
-    if epsilon is None:
-        raise ValueError("epsilon is required (the padding carried none)")
+    epsilon = _epsilon(padded, epsilon)
     qty = quantities_for(tree, padded)
     if qty.score == 0:
-        return _degenerate_report("claim3", padded, tree, qty)
+        return _degenerate_report("claim3", padded, tree, qty, epsilon)
 
     n_edges = len(tree.edges)
     p_bar = qty.p_bar
@@ -442,26 +435,18 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
     lhs = min(normalized_costs(tree, vectors, padded))
     bound = (1.0 - 5.0 * epsilon) * qty.score
     preconditions = below_threshold and padded.params.size >= m_min
-    if per_char_bad:
-        verdict = "fail"
-        note = f"{per_char_bad} per-character upper-bound violations"
-    elif lhs >= bound:
-        verdict = "pass"
-        note = "" if bound > 0 else "bound is non-positive at this epsilon"
-    elif not preconditions:
-        verdict = "inconclusive"
-        note = (f"bound failed with preconditions unmet "
-                f"(p_bar<1/E: {below_threshold}, M={padded.params.size}, "
-                f"M_min={m_min})")
-    else:
-        verdict = "fail"
-        note = "bound failed on a large instance"
-    return VerifierReport(
-        check="claim3", instance=_instance_descriptor(padded, tree),
-        epsilon=epsilon, size=padded.params.size, pad_count=qty.pad_count,
-        q=qty.q, p_bar=p_bar, lhs=lhs, bound=bound, direction="lhs>=bound",
-        preconditions_met=preconditions, verdict=verdict, note=note,
-        trials=len(vectors), seed=seed, runtime_ms=_elapsed_ms(started),
+    verdict, note = _grade(
+        f"{per_char_bad} per-character upper-bound violations"
+        if per_char_bad else "", lhs >= bound, preconditions,
+        f"bound failed with preconditions unmet "
+        f"(p_bar<1/E: {below_threshold}, M={padded.params.size}, "
+        f"M_min={m_min})",
+        pass_note="" if bound > 0 else "bound is non-positive at this epsilon")
+    return _report(
+        "claim3", padded, tree, qty, epsilon, lhs=lhs, bound=bound,
+        direction="lhs>=bound", preconditions_met=preconditions,
+        verdict=verdict, note=note, trials=len(vectors), seed=seed,
+        runtime_ms=_elapsed_ms(started),
         details={"score": qty.score, "per_char_violations": per_char_bad,
                  "threshold_probes": below_threshold})
 
@@ -494,63 +479,43 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
     padded = pad_constant_sites(base, epsilon)
     qty = ReductionQuantities(best_score, 2 * base.n - 3, padded.padded.k,
                               padded.params.pad_count)
-    instance = f"n={base.n} k={base.k} N_c={padded.params.pad_count}"
 
     ml_best, ml_ties = ml_search(padded.padded, config, cap=cap)
-    normalizer = math.log(padded.padded.k)
-    lhs_opt = ml_best.value / normalizer
+    lhs_opt = ml_best.value / qty.normalizer
 
     if best_score == 0:
         # every character constant: every topology is optimal on both sides
-        report = VerifierReport(
-            check="prop1", instance=instance, epsilon=epsilon,
-            size=padded.params.size, pad_count=padded.params.pad_count,
-            q=0.0, p_bar=0.0, lhs=lhs_opt, bound=CHAIN_TOL,
-            direction="lhs<=bound", preconditions_met=True,
+        return _report(
+            "prop1", padded, None, qty, epsilon, lhs=lhs_opt,
+            bound=CHAIN_TOL, direction="lhs<=bound", preconditions_met=True,
             verdict="pass" if lhs_opt <= CHAIN_TOL else "fail",
             note="degenerate: flip score is 0, all topologies tie",
             seed=config.seed, runtime_ms=_elapsed_ms(started),
             details={"mp_score": 0, "ml_tie_count": len(ml_ties),
                      "mp_optimum_count": len(mp_optima)})
-        return report
 
-    q = qty.q
-    rhs_candidates = [normalized_cost(t, EdgeProbs.uniform(t, q), padded)
-                      for t in mp_optima]
-    rhs = min(rhs_candidates)
-    chain_i_ok = lhs_opt <= rhs + CHAIN_TOL
-
+    rhs = min(normalized_cost(t, EdgeProbs.uniform(t, qty.q), padded)
+              for t in mp_optima)
     winner_score = parsimony_score(ml_best.tree, base)
-    coincide = winner_score == best_score
     ratio_applies = epsilon < 0.2
     size_ok = padded.params.size >= m_min
     chain_ii_bound = ((1.0 + 2.0 * epsilon) / (1.0 - 5.0 * epsilon) * best_score
                       if ratio_applies else None)
     chain_ii_ok = (winner_score <= chain_ii_bound) if ratio_applies else None
+    verdict, note = _grade(
+        "" if lhs_opt <= rhs + CHAIN_TOL
+        else "optimized cost exceeds the canonical-q cost of a flip optimum",
+        not ratio_applies or chain_ii_ok, size_ok,
+        f"ratio bound failed but M={padded.params.size} < M_min={m_min}",
+        pass_note="" if ratio_applies
+        else "ratio not asserted at epsilon >= 0.2; measurements only",
+        large_note="ratio bound failed on a large instance")
 
-    if not chain_i_ok:
-        verdict = "fail"
-        note = "optimized cost exceeds the canonical-q cost of a flip optimum"
-    elif ratio_applies and not chain_ii_ok:
-        if size_ok:
-            verdict = "fail"
-            note = "ratio bound failed on a large instance"
-        else:
-            verdict = "inconclusive"
-            note = (f"ratio bound failed but M={padded.params.size} "
-                    f"< M_min={m_min}")
-    else:
-        verdict = "pass"
-        note = ("" if ratio_applies
-                else "ratio not asserted at epsilon >= 0.2; measurements only")
-
-    return VerifierReport(
-        check="prop1", instance=instance, epsilon=epsilon,
-        size=padded.params.size, pad_count=padded.params.pad_count,
-        q=q, p_bar=qty.p_bar, lhs=lhs_opt, bound=rhs + CHAIN_TOL,
-        direction="lhs<=bound", preconditions_met=ratio_applies and size_ok,
-        verdict=verdict, note=note, seed=config.seed,
-        runtime_ms=_elapsed_ms(started),
+    return _report(
+        "prop1", padded, None, qty, epsilon, lhs=lhs_opt,
+        bound=rhs + CHAIN_TOL, direction="lhs<=bound",
+        preconditions_met=ratio_applies and size_ok, verdict=verdict,
+        note=note, seed=config.seed, runtime_ms=_elapsed_ms(started),
         details={
             "mp_score": best_score,
             "ml_tree": canonical_newick(ml_best.tree),
@@ -559,7 +524,7 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
             "ml_normalized": lhs_opt,
             "mp_optima": [canonical_newick(t) for t in mp_optima],
             "canonical_q_cost": rhs,
-            "is_mp_optimum": coincide,
+            "is_mp_optimum": winner_score == best_score,
             "ratio_bound": chain_ii_bound,
             "ratio_ok": chain_ii_ok,
             "ml_ties": [canonical_newick(t) for t in ml_ties],

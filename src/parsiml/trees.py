@@ -47,13 +47,15 @@ def _postorder(edges, anchor: int) -> tuple:
 
     Shaped as :meth:`Tree.rooted_plan` returns it, each child's edge given
     by its index in ``edges``. Neighbours are visited in edge order, so
-    sorted edges give sorted neighbours. Raises ValueError on a cycle or a
-    vertex the walk cannot reach.
+    sorted edges give sorted neighbours. Raises ValueError on an anchor
+    that is not a vertex, a cycle, or a vertex the walk cannot reach.
     """
     adj: dict[int, list[tuple[int, int]]] = {}
     for i, (u, v) in enumerate(edges):
         adj.setdefault(u, []).append((v, i))
         adj.setdefault(v, []).append((u, i))
+    if anchor not in adj:
+        raise ValueError(f"anchor {anchor!r} is not a vertex of the tree")
     parent: dict[int, tuple[int, int] | None] = {anchor: None}
     preorder = []
     stack = [anchor]
@@ -153,7 +155,8 @@ class Tree:
         Returns a tuple of ``(vertex, children)`` pairs in postorder, where
         ``children`` is a tuple of ``(child_vertex, edge_index)``. Cached per
         anchor; the plan is shared by the scoring and likelihood code.
-        Raises ValueError on a cycle or a vertex the walk cannot reach.
+        Raises ValueError on an anchor that is not a vertex, a cycle, or a
+        vertex the walk cannot reach.
         """
         if anchor is None:
             anchor = self.canonical_root()

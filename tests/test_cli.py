@@ -286,6 +286,21 @@ class TestErrorPaths:
         assert proc.returncode == 1
         assert "--bogus" in proc.stderr
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--bogus", "2", "gen", "--n", "4", "--k", "2"], "--bogus 2"),
+        (["--seed", "3", "--bogus", "2", "gen", "--n", "4"], "--bogus 2"),
+        (["--bogus", "gen", "--n", "4", "--k", "2"], "--bogus"),
+        (["gen", "--n", "4", "--k", "2", "--bogus", "2"], "--bogus 2"),
+    ])
+    def test_unknown_flag_named_on_either_side_of_the_verb(self, argv, named):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: parsiml ")
+        assert proc.stderr.count("usage:") == 1
+        assert proc.stderr.splitlines()[-1] == \
+            f"parsiml: error: unrecognized arguments: {named}"
+
     def test_missing_file(self, workdir):
         proc = run_cli("score-mp", "--tree", str(workdir / "nope.nwk"),
                        "--matrix", str(workdir / "x.mat"))

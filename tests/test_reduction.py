@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 
@@ -6,9 +9,11 @@ import pytest
 from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig,
                      char_likelihood_exhaustive, modified_loglik,
                      normalized_cost, pad_constant_sites, pad_with_count,
-                     quantities_for, random_instance, verify_claim1,
-                     verify_claim2, verify_claim3, verify_prop1_chain)
+                     parse_newick, quantities_for, random_instance,
+                     reduction, verify_claim1, verify_claim2, verify_claim3,
+                     verify_prop1_chain)
 from parsiml.parsimony import mp_search
+from parsiml.reduction import CSV_FIELDS, _grade, format_cell
 
 from conftest import caterpillar, exact_cost
 
@@ -151,6 +156,17 @@ class TestClaim3:
         assert report.lhs < report.bound
         assert not report.preconditions_met
 
+    def test_large_instance_fails_when_threshold_lowered(self):
+        base = random_instance(4, 30, seed=1)
+        tree = mp_search(base)[1][0]
+        padded = pad_with_count(base, 2000)
+        report = verify_claim3(padded, tree, trials=20, seed=3, epsilon=0.01,
+                               m_min=1)
+        assert report.preconditions_met
+        assert report.lhs < report.bound
+        assert (report.verdict, report.note) == \
+            ("fail", "bound failed on a large instance")
+
     def test_negative_trials_refused(self, quartet, quartet_padded):
         with pytest.raises(ValueError, match="trials"):
             verify_claim3(quartet_padded, quartet, trials=-1)
@@ -162,6 +178,17 @@ class TestClaim3:
         report = verify_claim3(padded, quartet)
         assert report.verdict == "pass"
         assert "degenerate" in report.note
+
+
+@pytest.mark.parametrize("verify", [verify_claim1, verify_claim3],
+                         ids=["claim1", "claim3"])
+def test_degenerate_report_keeps_the_resolved_epsilon(quartet, verify):
+    # pad_with_count records no epsilon; the one given to the check counts
+    base = DataMatrix.from_columns(4, [(0, 0, 0, 0)] * 3)
+    report = verify(pad_with_count(base, 5), quartet, epsilon=0.5)
+    assert "degenerate" in report.note
+    assert report.epsilon == 0.5
+    assert json.loads(report.to_json())["quantities"]["epsilon"] == 0.5
 
 
 class TestUnderflow:
@@ -230,6 +257,29 @@ class TestProp1Chain:
         assert report.details["ratio_bound"] is None
         assert "epsilon >= 0.2" in report.note or report.note == ""
 
+    @pytest.mark.parametrize("m_min,verdict,note", [
+        (32, "inconclusive", "ratio bound failed but M=8 < M_min=32"),
+        (1, "fail", "ratio bound failed on a large instance"),
+    ])
+    def test_ratio_bound_graded_by_size(self, monkeypatch, m_min, verdict,
+                                        note):
+        # a search that reports the worst topology with the optimum's cost:
+        # link (i) holds, and its flip score 4 breaks the ratio bound 3.51
+        worst = parse_newick("((1,3),(2,4));")
+        search = reduction.ml_search
+
+        def worst_winner(data, config, cap):
+            best, _ = search(data, config, cap=cap)
+            return dataclasses.replace(best, tree=worst), [worst]
+
+        monkeypatch.setattr(reduction, "ml_search", worst_winner)
+        base = DataMatrix.from_columns(4, [(0, 0, 1, 1)] * 2)
+        report = verify_prop1_chain(base, 0.07, m_min=m_min)
+        assert report.details["ml_tree_score"] == 4
+        assert report.details["ratio_ok"] is False
+        assert report.lhs <= report.bound
+        assert (report.verdict, report.note) == (verdict, note)
+
     def test_small_batch(self):
         hits = 0
         for seed in range(5):
@@ -259,13 +309,11 @@ class TestReportSerialization:
         assert payload["lhs"] == "inf"
 
     def test_csv_single_row(self, quartet, quartet_padded):
-        import csv as csv_mod
-        import io
         report = verify_claim2(quartet_padded, quartet, trials=20, seed=1)
         report.runtime_ms = None
         row = report.to_csv_row()
         assert row.count("\n") == 1
-        cells = next(csv_mod.reader(io.StringIO(row)))
+        cells = next(csv.reader(io.StringIO(row)))
         assert len(cells) == 14
         assert cells[0] == "claim2"
         assert cells[10] == "pass"
@@ -275,3 +323,59 @@ class TestReportSerialization:
         b = verify_claim2(quartet_padded, quartet, trials=50, seed=9)
         a.runtime_ms = b.runtime_ms = None
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("make", [
+        lambda tree, base: verify_claim2(pad_with_count(base, 2), tree),
+        lambda tree, base: verify_claim1(pad_constant_sites(base, 0.5), tree),
+    ], ids=["claim2-vacuous", "claim1"])
+    def test_csv_cells_are_the_json_values(self, quartet, quartet_matrix,
+                                           make):
+        report = make(quartet, quartet_matrix)
+        payload = report.to_json_dict()
+        flat = {**payload, **payload["quantities"]}
+        cells = next(csv.reader(io.StringIO(report.to_csv_row())))
+        assert len(cells) == len(CSV_FIELDS) == 14
+        assert cells == [str(format_cell(flat[name])) for name in CSV_FIELDS]
+        if report.check == "claim2":  # vacuous: lhs inf, no epsilon
+            assert cells[CSV_FIELDS.index("lhs")] == "inf"
+            assert cells[CSV_FIELDS.index("epsilon")] == ""
+
+
+_SMALL = "bound failed but M=8 < M_min=32"
+_UNMET = "bound failed with preconditions unmet (p_bar<1/E: False, M=8, M_min=32)"
+_CHAIN_I = "optimized cost exceeds the canonical-q cost of a flip optimum"
+_NOT_ASSERTED = "ratio not asserted at epsilon >= 0.2; measurements only"
+_RATIO_SMALL = "ratio bound failed but M=8 < M_min=32"
+_RATIO_LARGE = "ratio bound failed on a large instance"
+_LARGE = "bound failed on a large instance"
+
+
+@pytest.mark.parametrize("args,kwargs,expected", [
+    # claim1
+    (("2 per-character lower-bound violations", True, True, _SMALL), {},
+     ("fail", "2 per-character lower-bound violations")),
+    (("", True, False, _SMALL), {}, ("pass", "")),
+    (("", False, False, _SMALL), {}, ("inconclusive", _SMALL)),
+    (("", False, True, _SMALL), {}, ("fail", _LARGE)),
+    # claim3
+    (("1 per-character upper-bound violations", False, False, _UNMET), {},
+     ("fail", "1 per-character upper-bound violations")),
+    (("", True, True, _UNMET),
+     {"pass_note": "bound is non-positive at this epsilon"},
+     ("pass", "bound is non-positive at this epsilon")),
+    (("", False, False, _UNMET), {}, ("inconclusive", _UNMET)),
+    (("", False, True, _UNMET), {}, ("fail", _LARGE)),
+    # prop1
+    ((_CHAIN_I, True, True, _RATIO_SMALL), {"large_note": _RATIO_LARGE},
+     ("fail", _CHAIN_I)),
+    (("", True, False, _RATIO_SMALL),
+     {"pass_note": _NOT_ASSERTED, "large_note": _RATIO_LARGE},
+     ("pass", _NOT_ASSERTED)),
+    (("", False, False, _RATIO_SMALL), {"large_note": _RATIO_LARGE},
+     ("inconclusive", _RATIO_SMALL)),
+    (("", False, True, _RATIO_SMALL), {"large_note": _RATIO_LARGE},
+     ("fail", _RATIO_LARGE)),
+], ids=[f"{check}-{branch}" for check in ("claim1", "claim3", "prop1")
+        for branch in ("hard", "pass", "inconclusive", "large-fail")])
+def test_one_verdict_rule(args, kwargs, expected):
+    assert _grade(*args, **kwargs) == expected

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsiml import (NewickError, TopologyCapError, Tree, canonical_newick,
+from parsiml import (EdgeProbs, NewickError, TopologyCapError, Tree,
+                     canonical_newick, char_likelihood_pruning,
                      enumerate_topologies, is_binary, parse_newick,
-                     topology_count, validate)
+                     pattern_likelihoods, topology_count, validate)
 
 from conftest import caterpillar, reference_rooted_plan
 
@@ -108,6 +109,19 @@ class TestRootedPlan:
         for anchor in tree.vertices:
             assert tree.rooted_plan(anchor) == \
                 reference_rooted_plan(tree, anchor)
+
+    @pytest.mark.parametrize("call", [
+        lambda t, a: t.rooted_plan(a),
+        lambda t, a: pattern_likelihoods(t, EdgeProbs.uniform(t, 0.1),
+                                         [(0, 0, 1, 1)], anchor=a),
+        lambda t, a: char_likelihood_pruning(t, EdgeProbs.uniform(t, 0.1),
+                                             (0, 0, 1, 1), anchor=a),
+    ], ids=["rooted_plan", "pattern_likelihoods", "char_likelihood_pruning"])
+    @pytest.mark.parametrize("anchor", [0, 7, 99])
+    def test_anchor_off_the_tree_refused(self, quartet, call, anchor):
+        with pytest.raises(ValueError, match=f"anchor {anchor} is not a vertex"):
+            call(quartet, anchor)
+        assert quartet.rooted_plan(6) == reference_rooted_plan(quartet, 6)
 
 
 class TestEnumeration:
