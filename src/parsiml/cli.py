@@ -268,6 +268,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     matrix = characters.parse_matrix(_read(args.matrix))
     if args.check == "prop1":
+        if args.nc is not None:
+            raise UsageError("verify prop1 pads by --epsilon, not --nc")
         if args.epsilon is None:
             raise UsageError("verify prop1 requires --epsilon")
         config = mlopt.OptimizerConfig(seed=args.seed, restarts=args.restarts)
@@ -317,11 +319,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     for flag, value in zip(argv, argv[1:]):
-        # argparse files an unknown flag before the verb under extras and
-        # then reads the flag's value as the verb; name the flag instead
+        # argparse files an unknown flag before the verb under extras and then
+        # reads its value (any positional, "-2" too) as the verb; name the flag
         if flag in _COMMANDS or value in _COMMANDS:
             break
-        if (flag.startswith("-") and not value.startswith("-")
+        if (flag.startswith("-") and parser._parse_optional(value) is None
                 and flag.split("=")[0] not in parser._option_string_actions):
             parser.error(f"unrecognized arguments: {flag} {value}")
     args = parser.parse_args(argv)

@@ -19,8 +19,9 @@ dynamic program over the tree. They share nothing but the model definition,
 so agreement between them is evidence, not tautology. The dynamic program
 (:func:`pattern_values`) runs over a batch of edge vectors times every
 pattern at once with numpy, in the scalar recursion's operation order, so
-batching changes no bit of any value. The cost sum (:func:`cost`) stays a
-scalar loop over ``math.log``: its summation order is part of every
+batching changes no bit of any value. Its values become ln f in one place
+(:func:`_pattern_logs`), underflow rescue included, and the dataset cost is
+one left-to-right sum over those logs: its summation order is part of every
 reported number.
 """
 
@@ -37,7 +38,7 @@ from parsiml.trees import Edge, Tree, _normalize_edge
 
 EXHAUSTIVE_CAP = 24
 _NORMAL_MIN = sys.float_info.min  # below it a double is subnormal or zero
-# Edge vectors per DP pass in :func:`modified_logliks`: bounds what is held.
+# Edge vectors per DP pass: bounds what is held.
 CHUNK = 64
 
 
@@ -182,11 +183,10 @@ def pattern_likelihoods(tree: Tree, probs: EdgeProbs, patterns,
 def cost(weights, at0, at1, x: float) -> float:
     """-sum of w * ln((1-x) f0 + x f1) over aligned weights and values.
 
-    The one place the dataset cost is summed. The edge optimizer passes the
-    pattern values at p_e = 0 and p_e = 1 and a trial x; a plain cost passes
-    the same values twice with x = 0.0, which is exact because
-    1.0 * f + 0.0 * f == f for every finite f >= 0. Any zero blended value
-    makes the cost +inf.
+    The edge optimizer's 1-D objective, given the pattern values at p_e = 0
+    and p_e = 1 and a trial x. It sums as :func:`modified_logliks` does, so
+    at x = 0, with no value below the normal range, the two agree bit for
+    bit. Any zero blended value makes the cost +inf.
     """
     stay = 1.0 - x
     total = 0.0
@@ -237,26 +237,32 @@ def _log_pattern_value(plan, vec, ch) -> float:
     return _log_add(like0, like1)
 
 
-def _rescued_logs(plan, vec, states, values) -> list[float]:
-    """ln f of each value, recomputed in log space below the normal range."""
-    return [math.log(f) if f >= _NORMAL_MIN
-            else _log_pattern_value(plan, vec, ch)
-            for f, ch in zip(values, states)]
-
-
-def pattern_log_likelihoods(tree: Tree, probs: EdgeProbs,
-                            patterns) -> list[float]:
-    """ln f of each pattern; -inf for a pattern some p_e = 0 rules out.
+def _pattern_logs(tree: Tree, vecs, states):
+    """ln f of every pattern at each raw edge vector (checked as
+    :class:`EdgeProbs` checks it), lazily, one DP pass per CHUNK vectors.
 
     A value below the normal double range (0.0, or a subnormal with too few
     digits left) may be an underflow rather than an impossible pattern, so
     its ln f is recomputed in log space, which tells the two apart.
     """
-    patterns = [_check_character(ch, tree.n) for ch in patterns]
-    vec = probs.vector(tree)
     plan = tree.rooted_plan()
-    values = pattern_values(plan, [vec], patterns)[0].tolist()
-    return _rescued_logs(plan, vec, patterns, values)
+    vecs = (_checked_vector(tree.edges, vec) for vec in vecs)
+    while chunk := list(itertools.islice(vecs, CHUNK)):
+        for vec, values in zip(chunk,
+                               pattern_values(plan, chunk, states).tolist()):
+            if min(values, default=1.0) >= _NORMAL_MIN:
+                yield list(map(math.log, values))
+            else:
+                yield [math.log(f) if f >= _NORMAL_MIN
+                       else _log_pattern_value(plan, vec, ch)
+                       for f, ch in zip(values, states)]
+
+
+def pattern_log_likelihoods(tree: Tree, probs: EdgeProbs,
+                            patterns) -> list[float]:
+    """ln f of each pattern; -inf only for one some p_e = 0 rules out."""
+    patterns = [_check_character(ch, tree.n) for ch in patterns]
+    return next(_pattern_logs(tree, [probs.vector(tree)], patterns))
 
 
 def modified_loglik(tree: Tree, probs: EdgeProbs, data: DataMatrix) -> float:
@@ -264,33 +270,26 @@ def modified_loglik(tree: Tree, probs: EdgeProbs, data: DataMatrix) -> float:
 
     Patterns are visited in their stored (sorted) order so repeated runs sum
     in the same order and reports reproduce bit for bit. An underflowed
-    pattern value (see :func:`pattern_log_likelihoods`) does not make the
-    cost +inf: its ln f comes from log space, so the cost stays finite.
+    pattern value (see :func:`_pattern_logs`) does not make the cost +inf:
+    its ln f comes from log space, so the cost stays finite.
     """
     return next(modified_logliks(tree, [probs.vector(tree)], data))
 
 
 def modified_logliks(tree: Tree, vecs, data: DataMatrix):
-    """:func:`modified_loglik` at each of any number of raw edge vectors.
-
-    Lazily and bit for bit, underflow rescue included; each vector is
-    checked as :class:`EdgeProbs` checks it, and one DP pass serves CHUNK
-    vectors.
-    """
+    """:func:`modified_loglik` at each of any number of raw edge vectors,
+    lazily and bit for bit, as :func:`_pattern_logs` yields their logs."""
     if data.n != tree.n:
         raise ValueError(f"matrix has {data.n} leaves, tree has {tree.n}")
-    plan = tree.rooted_plan()
     states = np.array([ch for ch, _ in data.patterns])
     weights = [mult for _, mult in data.patterns]
-    vecs = (_checked_vector(tree.edges, vec) for vec in vecs)
-    while chunk := list(itertools.islice(vecs, CHUNK)):
-        for vec, values in zip(chunk,
-                               pattern_values(plan, chunk, states).tolist()):
-            if min(values) >= _NORMAL_MIN:
-                yield cost(weights, values, values, 0.0)
-            else:
-                logs = _rescued_logs(plan, vec, states, values)
-                yield -sum(w * lf for w, lf in zip(weights, logs))
+    for logs in _pattern_logs(tree, vecs, states):
+        total = 0.0
+        for w, log_value in zip(weights, logs):
+            total -= w * log_value
+        # roundoff guard: each value is <= 1 exactly, so the true total is
+        # non-negative
+        yield total if total > 0.0 else 0.0
 
 
 def write_probs(tree: Tree, probs: EdgeProbs) -> str:

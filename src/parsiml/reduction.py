@@ -29,7 +29,9 @@ when the instance size M is below a configurable threshold, and only as a
 failure above it. Margins are always reported either way; the unconditional
 per-character inequalities have no such escape hatch and any violation is a
 hard failure. That rule lives in one place, :func:`_grade`, and every report
-is built by :func:`_report`, which fills the fields all checks share.
+is built by :func:`_report`, which fills the fields all checks share. Both
+per-character inequalities are graded on ln f, by :func:`_per_char_violations`,
+so the slack is relative to f however far below 1e-12 a bound on f falls.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from parsiml.characters import (DataMatrix, PaddedInstance, is_constant,
-                                pad_constant_sites)
-from parsiml.likelihood import (EdgeProbs, modified_loglik, modified_logliks,
-                                pattern_likelihoods, pattern_log_likelihoods)
+from parsiml.characters import DataMatrix, PaddedInstance, pad_constant_sites
+# pattern_likelihoods is unused here but stays: the benchmark tracer swaps it
+from parsiml.likelihood import (EdgeProbs, _pattern_logs, modified_loglik,
+                                modified_logliks, pattern_likelihoods)
 from parsiml.mlopt import OptimizerConfig, ml_search, optimize_edges
 from parsiml.parsimony import mp_search, parsimony_score, pattern_scores
 from parsiml.trees import DEFAULT_TOPOLOGY_CAP, Tree, canonical_newick
@@ -59,6 +61,8 @@ CLAIM3_GRID = (0.0, 0.125, 0.25, 0.375, 0.5)
 # prop1 chain link (i) slack: the optimized cost may exceed the canonical-q
 # cost of a flip optimum by this much before the link counts as broken.
 CHAIN_TOL = 1e-8
+# Slack on ln f in the unconditional per-character checks.
+_PER_CHAR_SLACK = 1e-12
 
 CSV_FIELDS = ("check", "instance", "epsilon", "M", "N_c", "q", "p_bar",
               "lhs", "bound", "margin", "verdict", "trials", "seed",
@@ -222,33 +226,17 @@ def jsonable(obj):
     return obj
 
 
-def _per_char_lower_bound_violations(tree: Tree, padded: PaddedInstance,
-                                     q: float, slack: float = 1e-12) -> int:
-    """Count patterns violating ln f >= l_chi ln q - E (q + 2 q^2) at the
-    uniform vector q. Holds for every q in (0, 1/2], so any hit is a bug."""
+def _per_char_violations(tree: Tree, padded: PaddedInstance, vecs,
+                         low, high) -> int:
+    """Count (vector, pattern) pairs whose ln f leaves [low(l), high(l)],
+    l the pattern's flip score, by more than ``_PER_CHAR_SLACK``; one
+    flip-score pass and one :func:`_pattern_logs` pass serve all ``vecs``."""
     patterns = [ch for ch, _ in padded.padded.patterns]
-    logs = pattern_log_likelihoods(tree, EdgeProbs.uniform(tree, q), patterns)
-    drop = len(tree.edges) * (q + 2 * q * q)
-    return sum(log_value < flips * math.log(q) - drop - slack
-               for flips, log_value in zip(pattern_scores(tree, patterns), logs))
-
-
-def _per_char_upper_bound_violations(tree: Tree, padded: PaddedInstance,
-                                     vec, p_bar: float,
-                                     slack: float = 1e-12) -> int:
-    """Count non-constant patterns violating f <= E (E p_bar)^l_chi.
-
-    Only meaningful when every entry of ``vec`` is at most p_bar < 1/E.
-    """
-    n_edges = len(tree.edges)
-    patterns = [ch for ch, _ in padded.padded.patterns]
-    values = pattern_likelihoods(tree, EdgeProbs.from_vector(tree, vec),
-                                 patterns)
-    return sum(value > n_edges * (n_edges * p_bar) ** flips + slack
-               for ch, flips, value in zip(patterns,
-                                           pattern_scores(tree, patterns),
-                                           values)
-               if not is_constant(ch))
+    bounds = [(low(flips) - _PER_CHAR_SLACK, high(flips) + _PER_CHAR_SLACK)
+              for flips in pattern_scores(tree, patterns)]
+    return sum(not lo <= log_value <= hi
+               for logs in _pattern_logs(tree, vecs, patterns)
+               for log_value, (lo, hi) in zip(logs, bounds))
 
 
 def _epsilon(padded: PaddedInstance, epsilon: float | None) -> float:
@@ -321,9 +309,14 @@ def verify_claim1(padded: PaddedInstance, tree: Tree,
     if qty.score == 0:
         return _degenerate_report("claim1", padded, tree, qty, epsilon)
 
-    lhs = normalized_cost(tree, EdgeProbs.uniform(tree, qty.q), padded)
+    q = qty.q
+    lhs = normalized_cost(tree, EdgeProbs.uniform(tree, q), padded)
     bound = (1.0 + 2.0 * epsilon) * qty.score
-    per_char_bad = _per_char_lower_bound_violations(tree, padded, qty.q)
+    drop = len(tree.edges) * (q + 2 * q * q)
+    per_char_bad = _per_char_violations(
+        tree, padded, [[q] * len(tree.edges)],
+        low=lambda flips: flips * math.log(q) - drop,
+        high=lambda flips: math.inf)
     preconditions = padded.params.size >= m_min
     verdict, note = _grade(
         f"{per_char_bad} per-character lower-bound violations"
@@ -427,9 +420,11 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
         probes = [[p_bar] * n_edges]
         probes.extend([[p_bar * float(x) for x in rng.random(n_edges)]
                        for _ in range(5)])
-        for vec in probes:
-            per_char_bad += _per_char_upper_bound_violations(
-                tree, padded, vec, p_bar)
+        # ln f <= ln E + l ln(E p_bar); at l = 0 that is ln E >= 0 >= ln f
+        per_char_bad = _per_char_violations(
+            tree, padded, probes, low=lambda flips: -math.inf,
+            high=lambda flips: (math.log(n_edges)
+                                + flips * math.log(n_edges * p_bar)))
         vectors.extend(probes)
 
     lhs = min(normalized_costs(tree, vectors, padded))

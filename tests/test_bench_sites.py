@@ -5,6 +5,8 @@ under ``src/`` would make ``bench/run.py --trace 1`` fail at install time.
 The workloads call the package as ``P.<name>(..., keyword=...)``; a removed
 name or parameter would fail them at run time. Everything is read from the
 files' source with ``ast``, without importing anything from ``bench/``.
+The package also keeps no dead import, apart from the names the tracer
+swaps in the importing module, which must stay bound there.
 """
 
 import ast
@@ -18,6 +20,7 @@ import parsiml
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
+SRC = Path(parsiml.__file__).resolve().parent
 TABLES = ("SPAN_SITES", "COUNT_SITES", "GENERATOR_SITES")
 # names the package is bound to in bench/*.py
 ROOTS = ("P", "parsiml")
@@ -104,3 +107,23 @@ def test_bench_keywords_are_parameters():
         if keyword not in params and not takes_any:
             unknown.append(f"{'.'.join(chain)}({keyword}=)")
     assert not unknown, f"bench passes keywords the package lacks: {unknown}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name)
+def test_no_dead_imports(path):
+    module = ast.parse(path.read_text())
+    imported = set()
+    for node in module.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    swapped = {attr for sites in site_tables().values()
+               for module_name, attr, _ in sites
+               if module_name == f"parsiml.{path.stem}"}
+    dead = sorted(imported - used - swapped)
+    assert not dead, f"{path.name} imports names it never uses: {dead}"

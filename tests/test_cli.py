@@ -249,6 +249,15 @@ class TestVerify:
         assert proc.stderr.count("\n") == 1
         assert "trials" in proc.stderr
 
+    def test_prop1_refuses_nc(self, workdir):
+        # prop1 pads by epsilon alone; an --nc it would ignore is refused
+        proc = run_cli("verify", "prop1", "--matrix", str(workdir / "x.mat"),
+                       "--epsilon", "0.5", "--nc", "100000")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == \
+            "parsiml: error: verify prop1 pads by --epsilon, not --nc\n"
+
     def test_claim_requires_tree(self, workdir):
         proc = run_cli("verify", "claim2",
                        "--matrix", str(workdir / "x.mat"),
@@ -291,6 +300,7 @@ class TestErrorPaths:
         (["--seed", "3", "--bogus", "2", "gen", "--n", "4"], "--bogus 2"),
         (["--bogus", "gen", "--n", "4", "--k", "2"], "--bogus"),
         (["gen", "--n", "4", "--k", "2", "--bogus", "2"], "--bogus 2"),
+        (["--bogus", "-2", "gen", "--n", "4", "--k", "2"], "--bogus -2"),
     ])
     def test_unknown_flag_named_on_either_side_of_the_verb(self, argv, named):
         proc = run_cli(*argv)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from parsiml import (DataMatrix, EdgeProbs, char_likelihood_exhaustive,
                      char_likelihood_pruning, complement,
                      enumerate_topologies, fitch_score, is_constant,
-                     modified_loglik, parse_probs, pattern_likelihoods,
-                     write_probs)
-from parsiml.likelihood import (CHUNK, cost, modified_logliks,
-                                pattern_log_likelihoods, pattern_values)
+                     modified_loglik, pad_constant_sites, parse_probs,
+                     pattern_likelihoods, random_instance, write_probs)
+from parsiml.likelihood import (CHUNK, _log_pattern_value, cost,
+                                modified_logliks, pattern_log_likelihoods,
+                                pattern_values)
 from parsiml.trees import parse_newick
 
 from conftest import (all_characters, caterpillar, exact_cost, random_tree,
@@ -214,6 +216,39 @@ class TestCostHelper:
             assert cost(weights, at0, at1, x) == math.inf
             assert value_along_reference(weights, at0, at1, x) == math.inf
         assert cost(weights, at0, at0, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_one_cost_sum_same_bits(n):
+    # where nothing underflows the dataset cost is the optimizer's objective
+    # at x = 0; where something does, -sum w ln f with the log-space DP
+    tree = caterpillar(n)
+    data = pad_constant_sites(random_instance(n, 2 * n, n), 0.15).padded
+    rng = np.random.default_rng(n)
+    n_edges = len(tree.edges)
+    vecs = [[float(x) for x in rng.uniform(0.0, 0.5, n_edges)]
+            for _ in range(40)]
+    vecs += [[float(x) * 10.0 ** -int(e)
+              for x, e in zip(rng.uniform(0.0, 0.5, n_edges),
+                              rng.integers(0, 330, n_edges))]
+             for _ in range(40)]
+    plan = tree.rooted_plan()
+    states = [ch for ch, _ in data.patterns]
+    weights = [w for _, w in data.patterns]
+    normal = rescued = 0
+    for vec, got in zip(vecs, modified_logliks(tree, vecs, data)):
+        values = pattern_values(plan, [vec], states)[0].tolist()
+        if min(values) >= sys.float_info.min:
+            normal += 1
+            want = cost(weights, values, values, 0.0)
+        else:
+            rescued += 1
+            want = 0.0
+            for w, f, ch in zip(weights, values, states):
+                want -= w * (math.log(f) if f >= sys.float_info.min
+                             else _log_pattern_value(plan, vec, ch))
+        assert got.hex() == want.hex()
+    assert normal and rescued
 
 
 class TestDatasetCost:

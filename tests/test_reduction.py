@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig,
@@ -12,6 +13,7 @@ from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig,
                      parse_newick, quantities_for, random_instance,
                      reduction, verify_claim1, verify_claim2, verify_claim3,
                      verify_prop1_chain)
+from parsiml import likelihood
 from parsiml.parsimony import mp_search
 from parsiml.reduction import CSV_FIELDS, _grade, format_cell
 
@@ -233,6 +235,22 @@ class TestUnderflow:
     def test_claim2_still_passes(self, instance):
         tree, padded, _, _ = instance
         assert verify_claim2(padded, tree, trials=50).verdict == "pass"
+
+
+def test_per_char_upper_check_fires_in_the_paper_regime(monkeypatch):
+    """The claims-ladder's 24-leaf caterpillar at epsilon = 0.15, M = 48:
+    E (E p_bar)^l is below 1e-12 for every non-constant pattern, so a check
+    with an absolute slack on f cannot see pattern values inflated 1e12
+    times; graded on ln f it does. (The lhs bound fails either way, so the
+    count is asserted, not the verdict.)"""
+    padded = pad_constant_sites(random_instance(24, 48, 0), 0.15)
+    exact = likelihood.pattern_values
+    monkeypatch.setattr(
+        likelihood, "pattern_values",
+        lambda *args: np.minimum(exact(*args) * 1e12, 1.0))
+    report = verify_claim3(padded, caterpillar(24), trials=0)
+    assert report.details["threshold_probes"]
+    assert report.details["per_char_violations"] > 0
 
 
 class TestProp1Chain:
