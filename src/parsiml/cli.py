@@ -133,16 +133,15 @@ def build_parser() -> _Parser:
     enum.add_argument("--n", type=int, required=True)
 
     verify = subcommand("verify", help="run one reduction check")
-    verify.add_argument("check", choices=("claim1", "claim2", "claim3", "prop1"))
+    verify.add_argument("check", choices=tuple(_VERIFY))
     verify.add_argument("--matrix", required=True)
-    verify.add_argument("--tree",
-                        help="tree file (required for claim checks; prop1 searches)")
+    verify.add_argument("--tree", help="tree file (claim checks only)")
     verify.add_argument("--epsilon", type=float)
     verify.add_argument("--nc", type=int,
                         help="override the padding size instead of deriving it "
                              "from epsilon (for size sweeps)")
-    verify.add_argument("--trials", type=int, default=1000)
-    verify.add_argument("--restarts", type=int, default=5)
+    verify.add_argument("--trials", type=int)
+    verify.add_argument("--restarts", type=int)
     return parser
 
 
@@ -265,35 +264,45 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    matrix = characters.parse_matrix(_read(args.matrix))
-    if args.check == "prop1":
-        if args.nc is not None:
-            raise UsageError("verify prop1 pads by --epsilon, not --nc")
-        if args.epsilon is None:
-            raise UsageError("verify prop1 requires --epsilon")
-        config = mlopt.OptimizerConfig(seed=args.seed, restarts=args.restarts)
-        report = reduction.verify_prop1_chain(
-            matrix, args.epsilon, config, m_min=args.m_min, cap=args.n_max)
-    else:
+def _claim(verify, *keywords):
+    def call(args, matrix):
         if not args.tree:
             raise UsageError(f"verify {args.check} requires --tree")
         tree = trees.parse_newick(_read(args.tree))
-        padded = _padded(matrix, args)
-        if args.check == "claim1":
-            report = reduction.verify_claim1(padded, tree,
-                                             epsilon=args.epsilon,
-                                             m_min=args.m_min)
-        elif args.check == "claim2":
-            report = reduction.verify_claim2(padded, tree,
-                                             trials=args.trials,
-                                             seed=args.seed)
-        else:
-            report = reduction.verify_claim3(padded, tree,
-                                             trials=args.trials,
-                                             seed=args.seed,
-                                             epsilon=args.epsilon,
-                                             m_min=args.m_min)
+        return verify(_padded(matrix, args), tree,
+                      **{name: getattr(args, name) for name in keywords})
+    return call
+
+
+def _prop1(args, matrix):
+    if args.epsilon is None:
+        raise UsageError("verify prop1 requires --epsilon")
+    config = mlopt.OptimizerConfig(seed=args.seed, restarts=args.restarts)
+    return reduction.verify_prop1_chain(
+        matrix, args.epsilon, config, m_min=args.m_min, cap=args.n_max)
+
+
+# Per check: the verify options it reads, with defaults, and the call it makes.
+_CLAIM = {"tree": None, "epsilon": None, "nc": None}
+_TRIALS = {**_CLAIM, "trials": 1000}
+_VERIFY = {
+    "claim1": (_CLAIM, _claim(reduction.verify_claim1, "epsilon", "m_min")),
+    "claim2": (_TRIALS, _claim(reduction.verify_claim2, "trials", "seed")),
+    "claim3": (_TRIALS, _claim(reduction.verify_claim3, "trials", "seed",
+                               "epsilon", "m_min")),
+    "prop1": ({"epsilon": None, "restarts": 5}, _prop1),
+}
+
+
+def _cmd_verify(args) -> int:
+    matrix = characters.parse_matrix(_read(args.matrix))
+    options, check = _VERIFY[args.check]
+    for name in ("tree", "epsilon", "nc", "trials", "restarts"):
+        if getattr(args, name) is None:
+            setattr(args, name, options.get(name))
+        elif name not in options:
+            raise UsageError(f"verify {args.check} does not read --{name}")
+    report = check(args, matrix)
     if not args.timing:
         report.runtime_ms = None
     render = {"json": report.to_json, "csv": report.to_csv_row,

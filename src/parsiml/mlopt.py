@@ -15,15 +15,14 @@ Coordinate descent only guarantees a coordinate-wise optimum. That caveat is
 the whole point of the problem this package studies, so it is surfaced, not
 hidden: searches run from several starting points, and a grid sweep with
 two refinement rounds (final step 1/512, :func:`grid_minimum`) serves as an
-oracle on small instances. Exhaustive topology search is intended for
-desk-scale n only.
+oracle on small instances. Exhaustive topology search runs in the calling
+thread (``ml_search``'s ``n_jobs`` is inert) and is meant for desk-scale n.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,27 +219,18 @@ def optimize_edges(tree: Tree, data: DataMatrix,
 def ml_search(data: DataMatrix, config: OptimizerConfig | None = None,
               cap: int = DEFAULT_TOPOLOGY_CAP,
               n_jobs: int = 1) -> tuple[MLResult, list[Tree]]:
-    """Optimize every binary topology; return the best fit and all ties.
+    """Optimize every binary topology in turn; return the best fit and ties.
 
-    Per-topology random starts are seeded from (config.seed, topology index),
-    so results do not depend on worker scheduling. Ties are topologies whose
-    optimized cost is within ``TIE_TOL`` of the minimum, in canonical order;
-    the returned result is the minimum-cost fit, canonical order breaking
-    exact ties.
+    Per-topology random starts are seeded from (config.seed, topology
+    index). Ties are topologies whose optimized cost is within ``TIE_TOL``
+    of the minimum, in canonical order; the result is the cheapest fit,
+    canonical order breaking exact ties. ``n_jobs`` has no effect: the fits
+    hold the GIL, so a thread pool only added hand-offs. It stays until the
+    benchmark's next version (ROADMAP.md, item 1) stops passing it.
     """
     config = config or OptimizerConfig()
-    topologies = list(enumerate_topologies(data.n, cap))
-
-    def run(indexed):
-        index, tree = indexed
-        return optimize_edges(tree, data, config, seed=(config.seed, index))
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(run, enumerate(topologies)))
-    else:
-        results = [run(pair) for pair in enumerate(topologies)]
-
+    results = [optimize_edges(tree, data, config, seed=(config.seed, index))
+               for index, tree in enumerate(enumerate_topologies(data.n, cap))]
     best = min(results, key=lambda r: (r.value, canonical_newick(r.tree)))
     tied = [r.tree for r in results if r.value <= best.value + TIE_TOL]
     tied.sort(key=canonical_newick)

@@ -6,7 +6,8 @@ The workloads call the package as ``P.<name>(..., keyword=...)``; a removed
 name or parameter would fail them at run time. Everything is read from the
 files' source with ``ast``, without importing anything from ``bench/``.
 The package also keeps no dead import, apart from the names the tracer
-swaps in the importing module, which must stay bound there.
+swaps in the importing module, which must stay bound there, and imports no
+threading module: it runs in its caller's thread.
 """
 
 import ast
@@ -127,3 +128,16 @@ def test_no_dead_imports(path):
                if module_name == f"parsiml.{path.stem}"}
     dead = sorted(imported - used - swapped)
     assert not dead, f"{path.name} imports names it never uses: {dead}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_thread(path):
+    threaded = {"threading", "concurrent", "multiprocessing"}
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert not imported & threaded, \
+        f"{path.name} imports {sorted(imported & threaded)}"

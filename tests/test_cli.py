@@ -256,7 +256,22 @@ class TestVerify:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == \
-            "parsiml: error: verify prop1 pads by --epsilon, not --nc\n"
+            "parsiml: error: verify prop1 does not read --nc\n"
+
+    @pytest.mark.parametrize("check,given", [
+        ("prop1", ["--tree", "t.nwk"]), ("prop1", ["--trials", "7"]),
+        ("claim1", ["--trials", "7"]), ("claim1", ["--restarts", "50"]),
+        ("claim2", ["--restarts", "50"]), ("claim3", ["--restarts", "50"]),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_option_the_check_never_reads_refused(self, workdir, check,
+                                                  given):
+        tree = [] if check == "prop1" else ["--tree", str(workdir / "t.nwk")]
+        proc = run_cli("verify", check, "--matrix", str(workdir / "x.mat"),
+                       "--epsilon", "0.5", *tree, *given)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == \
+            f"parsiml: error: verify {check} does not read {given[0]}\n"
 
     def test_claim_requires_tree(self, workdir):
         proc = run_cli("verify", "claim2",

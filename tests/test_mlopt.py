@@ -187,11 +187,19 @@ class TestMLSearch:
         assert best.value <= fixed.value + 1e-9
 
     def test_threaded_matches_serial(self, quartet_matrix):
-        serial_best, serial_ties = ml_search(quartet_matrix, n_jobs=1)
-        threaded_best, threaded_ties = ml_search(quartet_matrix, n_jobs=2)
-        assert serial_best.value == threaded_best.value
-        assert [canonical_newick(t) for t in serial_ties] == \
-            [canonical_newick(t) for t in threaded_ties]
+        # n_jobs has no effect; of the padded n=5 inputs, seed 0 is the bench
+        # smoke ML instance (one optimum) and seed 2 has four tied topologies
+        padded = [pad_constant_sites(random_instance(5, 6, seed), 0.5).padded
+                  for seed in (0, 2)]
+
+        def outcome(data, n_jobs):
+            best, ties = ml_search(data, n_jobs=n_jobs)
+            return (best.value.hex(), canonical_newick(best.tree), best.sweeps,
+                    best.converged, [v.hex() for v in best.start_values],
+                    [canonical_newick(t) for t in ties])
+
+        for data in [quartet_matrix, *padded]:
+            assert outcome(data, 1) == outcome(data, 2)
 
     def test_result_value_matches_probs(self, quartet_matrix):
         best, _ = ml_search(quartet_matrix)
