@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import os
+import time
 
 from parsiml import characters, likelihood, mlopt, parsimony, reduction, trees
 from parsiml.reduction import csv_text, format_cell, jsonable
@@ -23,6 +24,7 @@ EXIT_INCONCLUSIVE = 3
 
 _VERDICT_EXIT = {"pass": EXIT_OK, "fail": EXIT_FAIL,
                  "inconclusive": EXIT_INCONCLUSIVE}
+_FIT_DEFAULTS = mlopt.OptimizerConfig()
 
 
 class UsageError(Exception):
@@ -126,8 +128,8 @@ def build_parser() -> _Parser:
 
     search_ml = subcommand("search-ml", help="exhaustive likelihood search")
     search_ml.add_argument("--matrix", required=True)
-    search_ml.add_argument("--restarts", type=int, default=5)
-    search_ml.add_argument("--tol", type=float, default=1e-10)
+    search_ml.add_argument("--restarts", type=int, default=_FIT_DEFAULTS.restarts)
+    search_ml.add_argument("--tol", type=float, default=_FIT_DEFAULTS.tol)
 
     enum = subcommand("enumerate", help="list all binary topologies")
     enum.add_argument("--n", type=int, required=True)
@@ -290,7 +292,7 @@ _VERIFY = {
     "claim2": (_TRIALS, _claim(reduction.verify_claim2, "trials", "seed")),
     "claim3": (_TRIALS, _claim(reduction.verify_claim3, "trials", "seed",
                                "epsilon", "m_min")),
-    "prop1": ({"epsilon": None, "restarts": 5}, _prop1),
+    "prop1": ({"epsilon": None, "restarts": _FIT_DEFAULTS.restarts}, _prop1),
 }
 
 
@@ -302,9 +304,10 @@ def _cmd_verify(args) -> int:
             setattr(args, name, options.get(name))
         elif name not in options:
             raise UsageError(f"verify {args.check} does not read --{name}")
+    started = time.perf_counter()
     report = check(args, matrix)
-    if not args.timing:
-        report.runtime_ms = None
+    if args.timing:
+        report.runtime_ms = (time.perf_counter() - started) * 1000.0
     render = {"json": report.to_json, "csv": report.to_csv_row,
               "text": report.to_text}
     _emit(args, render[args.format]())

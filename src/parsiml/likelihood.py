@@ -150,15 +150,15 @@ def char_likelihood_pruning(tree: Tree, probs: EdgeProbs, ch,
     return pattern_likelihoods(tree, probs, [ch], anchor)[0]
 
 
-def char_likelihood_exhaustive(tree: Tree, probs: EdgeProbs, ch,
-                               cap: int = EXHAUSTIVE_CAP) -> float:
+def char_likelihood_exhaustive(tree: Tree, probs: EdgeProbs, ch) -> float:
     """Per-character likelihood as a literal sum over all extensions."""
     ch = _check_character(ch, tree.n)
     vec = probs.vector(tree)
     internal = tree.internal_vertices()
     m = len(internal)
-    if m > cap:
-        raise ValueError(f"{m} internal vertices exceeds the exhaustive cap ({cap})")
+    if m > EXHAUSTIVE_CAP:
+        raise ValueError(f"{m} internal vertices exceeds the exhaustive cap "
+                         f"({EXHAUSTIVE_CAP})")
     state = {v: ch[v - 1] for v in range(1, tree.n + 1)}
     total = 0.0
     for bits in range(1 << m):

@@ -16,14 +16,15 @@ the whole point of the problem this package studies, so it is surfaced, not
 hidden: searches run from several starting points, and a grid sweep with
 two refinement rounds (final step 1/512, :func:`grid_minimum`) serves as an
 oracle on small instances. Exhaustive topology search runs in the calling
-thread (``ml_search``'s ``n_jobs`` is inert) and is meant for desk-scale n.
+thread (``ml_search``'s ``n_jobs`` is inert) and is meant for desk-scale n;
+a fit reads every setting, seed included, from its frozen config alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,7 +45,7 @@ MAX_SWEEPS = 500
 TIE_TOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for the fixed-tree optimizer and the topology search.
 
@@ -56,7 +57,7 @@ class OptimizerConfig:
 
     tol: float = 1e-10
     restarts: int = 5
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         if not self.tol > 0:  # also refuses NaN
@@ -75,8 +76,7 @@ class MLResult:
     start_values: tuple[float, ...] = field(default=(), repr=False)
 
 
-def golden_section_minimize(f, lo: float, hi: float,
-                            tol: float = SCALAR_TOL) -> tuple[float, float]:
+def golden_section_minimize(f, lo: float, hi: float) -> tuple[float, float]:
     """Minimize a unimodal-ish scalar on [lo, hi] without derivatives.
 
     The endpoints are evaluated explicitly so boundary minima come out
@@ -89,7 +89,7 @@ def golden_section_minimize(f, lo: float, hi: float,
     x2 = a + _INV_GOLDEN * span
     f1, f2 = f(x1), f(x2)
     best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    while b - a > tol:
+    while b - a > SCALAR_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
@@ -149,25 +149,23 @@ def _coordinate_descent(tree: Tree, data: DataMatrix, starts, start_values,
     return [tuple(run) for run in runs]
 
 
-def _starting_points(tree: Tree, data: DataMatrix, config: OptimizerConfig,
-                     seed) -> list[list[float]]:
+def _starting_points(tree: Tree, data: DataMatrix,
+                     config: OptimizerConfig) -> list[list[float]]:
     n_edges = len(tree.edges)
     flips = parsimony_score(tree, data)
     q = min(0.5, flips / (n_edges * data.k))
     starts = [[q] * n_edges, [0.1] * n_edges]
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     while len(starts) < config.restarts:
         starts.append([float(x) for x in rng.uniform(0.0, 0.5, n_edges)])
     return starts[:config.restarts]
 
 
-def grid_minimum(tree: Tree, data: DataMatrix, initial_step: float = 0.125,
-                 refinements: int = 2, shrink: int = 8):
+def grid_minimum(tree: Tree, data: DataMatrix):
     """Best cost on a product grid over [0, 1/2]^edges, then refined.
 
-    Each refinement re-grids a box of one old step around the incumbent at
-    step/shrink, so the defaults end at resolution 1/512. Exponential in the
-    edge count; meant for trees with at most five edges.
+    Steps 1/8, then 1/64 and 1/512 on a box of one old step around the
+    incumbent. Exponential in the edge count; meant for at most five edges.
     """
     n_edges = len(tree.edges)
 
@@ -185,10 +183,10 @@ def grid_minimum(tree: Tree, data: DataMatrix, initial_step: float = 0.125,
         count = int(round((hi - lo) / step))
         return [lo + j * step for j in range(count + 1)]
 
-    step = initial_step
+    step = 0.125
     best_vec, best_val = sweep([axis(0.25, 0.25, step)] * n_edges)
-    for _ in range(refinements):
-        new_step = step / shrink
+    for _ in range(2):
+        new_step = step / 8
         axes = [axis(best_vec[i], step / 2.0, new_step) for i in range(n_edges)]
         best_vec, best_val = sweep(axes)
         step = new_step
@@ -196,16 +194,14 @@ def grid_minimum(tree: Tree, data: DataMatrix, initial_step: float = 0.125,
 
 
 def optimize_edges(tree: Tree, data: DataMatrix,
-                   config: OptimizerConfig | None = None,
-                   seed=None) -> MLResult:
+                   config: OptimizerConfig = OptimizerConfig()) -> MLResult:
     """Minimize the dataset cost over edge probabilities for a fixed tree.
 
     Runs coordinate descent from every starting point and keeps the best.
     ``converged`` is False when the winning run hit the sweep cap; the best
     vector found is returned regardless so callers can still compare.
     """
-    config = config or OptimizerConfig()
-    starts = _starting_points(tree, data, config, seed)
+    starts = _starting_points(tree, data, config)
     start_values = tuple(modified_logliks(tree, starts, data))
     best = None
     for run in _coordinate_descent(tree, data, starts, start_values, config):
@@ -216,21 +212,20 @@ def optimize_edges(tree: Tree, data: DataMatrix,
                     converged, sweeps, start_values)
 
 
-def ml_search(data: DataMatrix, config: OptimizerConfig | None = None,
+def ml_search(data: DataMatrix, config: OptimizerConfig = OptimizerConfig(),
               cap: int = DEFAULT_TOPOLOGY_CAP,
               n_jobs: int = 1) -> tuple[MLResult, list[Tree]]:
     """Optimize every binary topology in turn; return the best fit and ties.
 
-    Per-topology random starts are seeded from (config.seed, topology
-    index). Ties are topologies whose optimized cost is within ``TIE_TOL``
-    of the minimum, in canonical order; the result is the cheapest fit,
+    Topology i is fitted under ``replace(config, seed=(config.seed, i))``.
+    Ties are topologies whose optimized cost is within ``TIE_TOL`` of the
+    minimum, in canonical order; the result is the cheapest fit,
     canonical order breaking exact ties. ``n_jobs`` has no effect: the fits
     hold the GIL, so a thread pool only added hand-offs. It stays until the
     benchmark's next version (ROADMAP.md, item 1) stops passing it.
     """
-    config = config or OptimizerConfig()
-    results = [optimize_edges(tree, data, config, seed=(config.seed, index))
-               for index, tree in enumerate(enumerate_topologies(data.n, cap))]
+    results = [optimize_edges(tree, data, replace(config, seed=(config.seed, i)))
+               for i, tree in enumerate(enumerate_topologies(data.n, cap))]
     best = min(results, key=lambda r: (r.value, canonical_newick(r.tree)))
     tied = [r.tree for r in results if r.value <= best.value + TIE_TOL]
     tied.sort(key=canonical_newick)

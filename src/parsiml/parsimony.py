@@ -121,7 +121,7 @@ def pattern_scores(tree: Tree, patterns) -> list[int]:
     return [sum(m >> j & 1 for m in misses) for j in range(len(patterns))]
 
 
-def brute_force_score(tree: Tree, ch, cap: int = BRUTE_FORCE_CAP) -> int:
+def brute_force_score(tree: Tree, ch) -> int:
     """Exact minimum by enumerating all 2^(internal vertices) extensions.
 
     Independent of :func:`fitch_score`; used to cross-check it.
@@ -129,9 +129,9 @@ def brute_force_score(tree: Tree, ch, cap: int = BRUTE_FORCE_CAP) -> int:
     ch = _check_character(ch, tree.n)
     internal = tree.internal_vertices()
     m = len(internal)
-    if m > cap:
-        raise ValueError(
-            f"{m} internal vertices exceeds the brute-force cap ({cap})")
+    if m > BRUTE_FORCE_CAP:
+        raise ValueError(f"{m} internal vertices exceeds the brute-force cap "
+                         f"({BRUTE_FORCE_CAP})")
     state = {v: ch[v - 1] for v in range(1, tree.n + 1)}
     best = None
     for bits in range(1 << m):

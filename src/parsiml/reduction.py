@@ -32,6 +32,8 @@ hard failure. That rule lives in one place, :func:`_grade`, and every report
 is built by :func:`_report`, which fills the fields all checks share. Both
 per-character inequalities are graded on ln f, by :func:`_per_char_violations`,
 so the slack is relative to f however far below 1e-12 a bound on f falls.
+Costs are scored on raw edge vectors by :func:`normalized_costs`. No check
+reads a clock: ``runtime_ms`` stays None unless the CLI times the check.
 """
 
 from __future__ import annotations
@@ -41,13 +43,12 @@ import io
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from parsiml.characters import DataMatrix, PaddedInstance, pad_constant_sites
-# pattern_likelihoods is unused here but stays: the benchmark tracer swaps it
+# modified_loglik and pattern_likelihoods stay only for the bench tracer
 from parsiml.likelihood import (EdgeProbs, _pattern_logs, modified_loglik,
                                 modified_logliks, pattern_likelihoods)
 from parsiml.mlopt import OptimizerConfig, ml_search, optimize_edges
@@ -105,8 +106,7 @@ def quantities_for(tree: Tree, padded: PaddedInstance) -> ReductionQuantities:
 def normalized_cost(tree: Tree, probs: EdgeProbs,
                     padded: PaddedInstance) -> float:
     """Padded dataset cost divided by ln(k + N_c); >= 0, +inf propagates."""
-    return (modified_loglik(tree, probs, padded.padded)
-            / math.log(padded.padded.k))
+    return next(normalized_costs(tree, [probs.vector(tree)], padded))
 
 
 def normalized_costs(tree: Tree, vecs, padded: PaddedInstance):
@@ -199,6 +199,8 @@ class VerifierReport:
         ]
         if self.trials is not None:
             lines.append(f"trials    {self.trials}  seed={self.seed}")
+        if self.runtime_ms is not None:
+            lines.append(f"runtime   {format_cell(self.runtime_ms)} ms")
         return "\n".join(lines) + "\n"
 
 
@@ -286,7 +288,7 @@ def _degenerate_report(check: str, padded: PaddedInstance, tree: Tree,
     # l = 0 means every character is constant; padding changes nothing and
     # the all-zero probability vector already achieves cost 0 = l. q and
     # p_bar are exactly 0.0 at l = 0.
-    lhs = normalized_cost(tree, EdgeProbs.uniform(tree, 0.0), padded)
+    lhs = next(normalized_costs(tree, [[0.0] * len(tree.edges)], padded))
     return _report(check, padded, tree, qty, epsilon, lhs=lhs, bound=0.0,
                    direction="lhs<=bound", preconditions_met=True,
                    verdict="pass",
@@ -303,14 +305,13 @@ def verify_claim1(padded: PaddedInstance, tree: Tree,
     lower bound is asserted alongside; a failed headline bound on an
     instance with M below ``m_min`` is graded inconclusive.
     """
-    started = time.perf_counter()
     epsilon = _epsilon(padded, epsilon)
     qty = quantities_for(tree, padded)
     if qty.score == 0:
         return _degenerate_report("claim1", padded, tree, qty, epsilon)
 
     q = qty.q
-    lhs = normalized_cost(tree, EdgeProbs.uniform(tree, q), padded)
+    lhs = next(normalized_costs(tree, [[q] * len(tree.edges)], padded))
     bound = (1.0 + 2.0 * epsilon) * qty.score
     drop = len(tree.edges) * (q + 2 * q * q)
     per_char_bad = _per_char_violations(
@@ -325,7 +326,7 @@ def verify_claim1(padded: PaddedInstance, tree: Tree,
     return _report(
         "claim1", padded, tree, qty, epsilon, lhs=lhs, bound=bound,
         direction="lhs<=bound", preconditions_met=preconditions,
-        verdict=verdict, note=note, runtime_ms=_elapsed_ms(started),
+        verdict=verdict, note=note,
         details={"score": qty.score,
                  "per_char_checked": len(padded.padded.patterns),
                  "per_char_violations": per_char_bad})
@@ -343,7 +344,6 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
     """
     if trials < 1:
         raise ValueError(f"claim2 needs trials >= 1, got {trials}")
-    started = time.perf_counter()
     qty = quantities_for(tree, padded)
     if qty.score == 0:
         return _degenerate_report("claim2", padded, tree, qty)
@@ -355,7 +355,7 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
             preconditions_met=True, verdict="pass",
             note=f"vacuous: p_bar={p_bar} >= 1/2, no admissible vector "
                  "exceeds the threshold",
-            trials=0, seed=seed, runtime_ms=_elapsed_ms(started))
+            trials=0, seed=seed)
 
     rng = np.random.default_rng(seed)
     n_edges = len(tree.edges)
@@ -376,7 +376,7 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
         direction="lhs>=bound", preconditions_met=True,
         verdict="pass" if violations == 0 else "fail",
         note="" if violations == 0 else f"{violations} trials at or below the score",
-        trials=trials, seed=seed, runtime_ms=_elapsed_ms(started),
+        trials=trials, seed=seed,
         details={"score": qty.score, "violations": violations,
                  "min_gap": worst - qty.score if math.isfinite(worst) else None})
 
@@ -396,7 +396,6 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
     """
     if trials < 0:
         raise ValueError(f"claim3 needs trials >= 0, got {trials}")
-    started = time.perf_counter()
     epsilon = _epsilon(padded, epsilon)
     qty = quantities_for(tree, padded)
     if qty.score == 0:
@@ -441,13 +440,12 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
         "claim3", padded, tree, qty, epsilon, lhs=lhs, bound=bound,
         direction="lhs>=bound", preconditions_met=preconditions,
         verdict=verdict, note=note, trials=len(vectors), seed=seed,
-        runtime_ms=_elapsed_ms(started),
         details={"score": qty.score, "per_char_violations": per_char_bad,
                  "threshold_probes": below_threshold})
 
 
 def verify_prop1_chain(base: DataMatrix, epsilon: float,
-                       config: OptimizerConfig | None = None,
+                       config: OptimizerConfig = OptimizerConfig(),
                        m_min: int = DEFAULT_M_MIN,
                        cap: int = DEFAULT_TOPOLOGY_CAP) -> VerifierReport:
     """End-to-end reduction experiment with exact search standing in for a
@@ -467,9 +465,6 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
     Whether the likelihood winner is exactly a flip-score optimum is
     reported, not asserted: the squeeze only promises the ratio.
     """
-    started = time.perf_counter()
-    config = config or OptimizerConfig()
-
     best_score, mp_optima = mp_search(base, cap=cap)
     padded = pad_constant_sites(base, epsilon)
     qty = ReductionQuantities(best_score, 2 * base.n - 3, padded.padded.k,
@@ -485,11 +480,11 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
             bound=CHAIN_TOL, direction="lhs<=bound", preconditions_met=True,
             verdict="pass" if lhs_opt <= CHAIN_TOL else "fail",
             note="degenerate: flip score is 0, all topologies tie",
-            seed=config.seed, runtime_ms=_elapsed_ms(started),
+            seed=config.seed,
             details={"mp_score": 0, "ml_tie_count": len(ml_ties),
                      "mp_optimum_count": len(mp_optima)})
 
-    rhs = min(normalized_cost(t, EdgeProbs.uniform(t, qty.q), padded)
+    rhs = min(next(normalized_costs(t, [[qty.q] * len(t.edges)], padded))
               for t in mp_optima)
     winner_score = parsimony_score(ml_best.tree, base)
     ratio_applies = epsilon < 0.2
@@ -510,7 +505,7 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
         "prop1", padded, None, qty, epsilon, lhs=lhs_opt,
         bound=rhs + CHAIN_TOL, direction="lhs<=bound",
         preconditions_met=ratio_applies and size_ok, verdict=verdict,
-        note=note, seed=config.seed, runtime_ms=_elapsed_ms(started),
+        note=note, seed=config.seed,
         details={
             "mp_score": best_score,
             "ml_tree": canonical_newick(ml_best.tree),
@@ -524,7 +519,3 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
             "ratio_ok": chain_ii_ok,
             "ml_ties": [canonical_newick(t) for t in ml_ties],
         })
-
-
-def _elapsed_ms(started: float) -> float:
-    return (time.perf_counter() - started) * 1000.0

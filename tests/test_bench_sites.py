@@ -7,7 +7,8 @@ name or parameter would fail them at run time. Everything is read from the
 files' source with ``ast``, without importing anything from ``bench/``.
 The package also keeps no dead import, apart from the names the tracer
 swaps in the importing module, which must stay bound there, and imports no
-threading module: it runs in its caller's thread.
+threading module: it runs in its caller's thread. Only the CLI imports
+``time``: it alone reads a clock.
 """
 
 import ast
@@ -130,14 +131,28 @@ def test_no_dead_imports(path):
     assert not dead, f"{path.name} imports names it never uses: {dead}"
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_one_thread(path):
-    threaded = {"threading", "concurrent", "multiprocessing"}
+def top_level_imports(path) -> set:
+    """The top-level package of every module ``path`` imports."""
     imported = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
+    return imported
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_thread(path):
+    threaded = {"threading", "concurrent", "multiprocessing"}
+    imported = top_level_imports(path)
     assert not imported & threaded, \
         f"{path.name} imports {sorted(imported & threaded)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_clock(path):
+    # the CLI times a verify check; a library report carries no wall clock
+    if path.name != "cli.py":
+        assert "time" not in top_level_imports(path), \
+            f"{path.name} imports time"

@@ -1,14 +1,19 @@
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from parsiml.cli import run
+
 QUARTET = "((1,2),(3,4));\n"
 MATRIX = "4 2\n1 00\n2 01\n3 10\n4 11\n"
+CONSTANT = "4 2\n1 00\n2 00\n3 00\n4 00\n"
 
 
 def run_cli(*args, env=None):
@@ -21,6 +26,7 @@ def run_cli(*args, env=None):
 def workdir(tmp_path):
     (tmp_path / "t.nwk").write_text(QUARTET)
     (tmp_path / "x.mat").write_text(MATRIX)
+    (tmp_path / "c.mat").write_text(CONSTANT)
     return tmp_path
 
 
@@ -187,11 +193,27 @@ class TestEnumerate:
         assert proc.stderr == \
             f"parsiml: error: environment variable {name}='abc' is not an integer\n"
 
-    def test_env_override(self, workdir):
-        env = dict(os.environ, PARSIML_N_MAX="9")
-        proc = run_cli("--format", "json", "enumerate", "--n", "9", env=env)
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["count"] == 135135
+    def test_env_override(self, tmp_path):
+        # a 9-leaf search is past the default cap; PARSIML_N_MAX=9 lifts it
+        (tmp_path / "x.mat").write_text(
+            run_cli("gen", "--n", "9", "--k", "4", "--seed", "0").stdout)
+        argv = ["search-mp", "--matrix", str(tmp_path / "x.mat")]
+        capped = run_cli(*argv)
+        assert capped.returncode == 1
+        assert "cap" in capped.stderr
+        proc = run_cli(*argv, env=dict(os.environ, PARSIML_N_MAX="9"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("score = ")
+
+    def test_env_m_min_override(self, workdir):
+        # M = 8 at --nc 8: the failed bound is inconclusive below M_min = 32,
+        # a failure once PARSIML_M_MIN=1; an explicit --m-min still wins
+        argv = ["verify", "claim1", "--matrix", str(workdir / "x.mat"),
+                "--tree", str(workdir / "t.nwk"), "--epsilon", "0.05",
+                "--nc", "8"]
+        env = dict(os.environ, PARSIML_M_MIN="1")
+        assert run_cli(*argv, env=env).returncode == 2
+        assert run_cli("--m-min", "32", *argv, env=env).returncode == 3
 
 
 class TestVerify:
@@ -279,6 +301,65 @@ class TestVerify:
                        "--epsilon", "0.5")
         assert proc.returncode == 1
         assert "--tree" in proc.stderr
+
+
+class TestTiming:
+    """--timing puts the check's wall-clock time in every verify report,
+    degenerate and vacuous ones included, and changes nothing else."""
+
+    CASES = {
+        "claim1": ["claim1", "--tree", "t.nwk", "--epsilon", "0.5"],
+        "claim2": ["claim2", "--tree", "t.nwk", "--epsilon", "0.5",
+                   "--trials", "20"],
+        "claim3": ["claim3", "--tree", "t.nwk", "--epsilon", "0.5",
+                   "--trials", "10"],
+        "claim2-vacuous": ["claim2", "--tree", "t.nwk", "--nc", "2",
+                           "--trials", "20"],
+        "prop1": ["prop1", "--epsilon", "0.5"],
+    }
+
+    @staticmethod
+    def split_runtime(fmt, out):
+        """(runtime_ms or None, the rest of the report)."""
+        if fmt == "json":
+            payload = json.loads(out)
+            return payload.pop("runtime_ms"), payload
+        if fmt == "csv":
+            (*rest, cell), = csv.reader(io.StringIO(out))
+            return (float(cell) if cell else None), rest
+        lines = out.splitlines()
+        timed = [re.fullmatch(r"runtime   (\S+) ms", line) for line in lines]
+        rest = [line for line, match in zip(lines, timed) if not match]
+        values = [float(match[1]) for match in timed if match]
+        assert len(values) <= 1
+        return (values[0] if values else None), rest
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("case,matrix", [
+        ("claim1", "c.mat"), ("claim1", "x.mat"), ("claim2", "c.mat"),
+        ("claim2", "x.mat"), ("claim3", "c.mat"), ("claim3", "x.mat"),
+        ("claim2-vacuous", "x.mat"), ("prop1", "c.mat"), ("prop1", "x.mat"),
+    ], ids=lambda value: {"c.mat": "constant", "x.mat": "quartet"}.get(
+        value, value))
+    def test_runtime_only_under_timing(self, workdir, capsys, case, matrix,
+                                       fmt):
+        argv = ["--format", fmt, "verify", "--matrix", str(workdir / matrix),
+                *[str(workdir / a) if a == "t.nwk" else a
+                  for a in self.CASES[case]]]
+        plain_exit = run(argv)
+        plain = capsys.readouterr().out
+        timed_exit = run(["--timing", *argv])
+        timed = capsys.readouterr().out
+        note = ("degenerate" if matrix == "c.mat"
+                else "vacuous" if case == "claim2-vacuous" else "")
+        if fmt != "csv":  # the CSV row carries no note
+            assert note in plain
+        untimed, plain_rest = self.split_runtime(fmt, plain)
+        runtime, timed_rest = self.split_runtime(fmt, timed)
+        assert untimed is None
+        assert isinstance(runtime, float)
+        assert math.isfinite(runtime) and runtime >= 0.0
+        assert (timed_exit, timed_rest) == (plain_exit, plain_rest)
 
 
 class TestPaperRegime:

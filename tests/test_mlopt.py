@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig, canonical_newick,
-                     golden_section_minimize, grid_minimum, ml_search,
-                     modified_loglik, optimize_edges, pad_constant_sites,
-                     random_instance)
+                     enumerate_topologies, golden_section_minimize,
+                     grid_minimum, ml_search, modified_loglik, optimize_edges,
+                     pad_constant_sites, random_instance)
 from parsiml.likelihood import cost, modified_logliks
 from parsiml.mlopt import MAX_SWEEPS, _coordinate_descent, _starting_points
 
@@ -128,7 +129,7 @@ class TestLockstep:
     def test_equals_single_start_fits(self, tree, seed):
         data = pad_constant_sites(random_instance(tree.n, 6, seed), 0.5).padded
         config = OptimizerConfig(restarts=6, seed=seed)
-        starts = _starting_points(tree, data, config, None)
+        starts = _starting_points(tree, data, config)
         start_values = list(modified_logliks(tree, starts, data))
         lockstep = _coordinate_descent(tree, data, starts, start_values,
                                        config)
@@ -145,7 +146,7 @@ class TestLockstep:
         tree = caterpillar(5)
         data = pad_constant_sites(random_instance(5, 6, 1), 0.5).padded
         config = OptimizerConfig(restarts=6, seed=1)
-        starts = _starting_points(tree, data, config, None)
+        starts = _starting_points(tree, data, config)
         runs = _coordinate_descent(tree, data, starts,
                                    list(modified_logliks(tree, starts, data)),
                                    config)
@@ -157,7 +158,7 @@ class TestLockstep:
         tree = caterpillar(64)
         data = pad_constant_sites(random_instance(64, 128, 0), 0.15).padded
         config = OptimizerConfig(restarts=1)
-        start = _starting_points(tree, data, config, None)[0]
+        start = _starting_points(tree, data, config)[0]
         expected = modified_loglik(tree, EdgeProbs.from_vector(tree, start),
                                    data)
         assert expected == 82280.88651438974
@@ -200,6 +201,25 @@ class TestMLSearch:
 
         for data in [quartet_matrix, *padded]:
             assert outcome(data, 1) == outcome(data, 2)
+
+    def test_winner_is_its_topologys_own_fit(self):
+        # topology i is fitted under replace(config, seed=(config.seed, i)),
+        # on the padded input with four tied topologies
+        data = pad_constant_sites(random_instance(5, 6, 2), 0.5).padded
+        config = OptimizerConfig(seed=3)
+        best, _ = ml_search(data, config)
+        topologies = list(enumerate_topologies(data.n))
+        i = [canonical_newick(t) for t in topologies].index(
+            canonical_newick(best.tree))
+        alone = optimize_edges(topologies[i], data,
+                               replace(config, seed=(config.seed, i)))
+
+        def outcome(fit):
+            return (fit.value.hex(),
+                    [p.hex() for p in fit.probs.vector(fit.tree)],
+                    fit.sweeps, [v.hex() for v in fit.start_values])
+
+        assert outcome(alone) == outcome(best)
 
     def test_result_value_matches_probs(self, quartet_matrix):
         best, _ = ml_search(quartet_matrix)
