@@ -4,7 +4,8 @@ A character assigns a state in {0,1} to each leaf; a data matrix stores the
 distinct site patterns together with their multiplicities, so k identical
 columns cost one pattern. Padding appends a large block of all-zero columns
 whose size is a power of the instance size, the transformation that couples
-the flip-count score to the optimal log-likelihood.
+the flip-count score to the optimal log-likelihood. One rule,
+:func:`_check_epsilon`, holds epsilon in (0, 1] for padding and verifiers.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ def _check_character(ch, n: int) -> Character:
     if not {0, 1}.issuperset(ch):
         raise ValueError(f"non-binary state in character {ch}")
     return ch
+
+
+def _check_epsilon(epsilon):
+    """The one epsilon rule: a value in (0, 1]; NaN fails the comparison."""
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    return epsilon
 
 
 @dataclass(frozen=True)
@@ -169,9 +177,7 @@ def pad_constant_sites(base: DataMatrix, epsilon: float) -> PaddedInstance:
     k + N_c exceeds :data:`PAD_LIMIT`, since a silently smaller pad would
     change what the verifiers measure.
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    epsilon = float(epsilon)
+    epsilon = float(_check_epsilon(epsilon))
     size = max(2 * base.n, base.k)
     log2_count = math.log2(size) / epsilon
     if log2_count > 54:  # refused on the float estimate, before big powers

@@ -24,7 +24,6 @@ EXIT_INCONCLUSIVE = 3
 
 _VERDICT_EXIT = {"pass": EXIT_OK, "fail": EXIT_FAIL,
                  "inconclusive": EXIT_INCONCLUSIVE}
-_FIT_DEFAULTS = mlopt.OptimizerConfig()
 
 
 class UsageError(Exception):
@@ -49,21 +48,10 @@ def _env_int(name: str, fallback: int) -> int:
         raise UsageError(f"environment variable {name}={raw!r} is not an integer")
 
 
-def _apply_common_defaults(args) -> None:
-    # The shared flags carry SUPPRESS defaults (see build_parser), so values
-    # parsed before the subcommand survive the subparser pass; anything the
-    # user never wrote is filled in here.
-    fallback = {
-        "format": "text",
-        "out": None,
-        "seed": 0,
-        "n_max": _env_int("PARSIML_N_MAX", trees.DEFAULT_TOPOLOGY_CAP),
-        "m_min": _env_int("PARSIML_M_MIN", reduction.DEFAULT_M_MIN),
-        "timing": False,
-    }
-    for name, value in fallback.items():
-        if not hasattr(args, name):
-            setattr(args, name, value)
+def _given(args, *names) -> dict:
+    """The given options among ``names``; the library owns the defaults."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def build_parser() -> _Parser:
@@ -128,8 +116,8 @@ def build_parser() -> _Parser:
 
     search_ml = subcommand("search-ml", help="exhaustive likelihood search")
     search_ml.add_argument("--matrix", required=True)
-    search_ml.add_argument("--restarts", type=int, default=_FIT_DEFAULTS.restarts)
-    search_ml.add_argument("--tol", type=float, default=_FIT_DEFAULTS.tol)
+    search_ml.add_argument("--restarts", type=int)
+    search_ml.add_argument("--tol", type=float)
 
     enum = subcommand("enumerate", help="list all binary topologies")
     enum.add_argument("--n", type=int, required=True)
@@ -243,8 +231,8 @@ def _cmd_search_mp(args) -> int:
 
 def _cmd_search_ml(args) -> int:
     matrix = characters.parse_matrix(_read(args.matrix))
-    config = mlopt.OptimizerConfig(seed=args.seed, restarts=args.restarts,
-                                   tol=args.tol)
+    config = mlopt.OptimizerConfig(seed=args.seed,
+                                   **_given(args, "restarts", "tol"))
     best, ties = mlopt.ml_search(matrix, config, cap=args.n_max)
     probs_lines = likelihood.write_probs(best.tree, best.probs).splitlines()
     payload = {"cost": best.value, "tree": trees.canonical_newick(best.tree),
@@ -271,38 +259,36 @@ def _claim(verify, *keywords):
         if not args.tree:
             raise UsageError(f"verify {args.check} requires --tree")
         tree = trees.parse_newick(_read(args.tree))
-        return verify(_padded(matrix, args), tree,
-                      **{name: getattr(args, name) for name in keywords})
+        return verify(_padded(matrix, args), tree, **_given(args, *keywords))
     return call
 
 
 def _prop1(args, matrix):
     if args.epsilon is None:
         raise UsageError("verify prop1 requires --epsilon")
-    config = mlopt.OptimizerConfig(seed=args.seed, restarts=args.restarts)
+    config = mlopt.OptimizerConfig(seed=args.seed, **_given(args, "restarts"))
     return reduction.verify_prop1_chain(
         matrix, args.epsilon, config, m_min=args.m_min, cap=args.n_max)
 
 
-# Per check: the verify options it reads, with defaults, and the call it makes.
-_CLAIM = {"tree": None, "epsilon": None, "nc": None}
-_TRIALS = {**_CLAIM, "trials": 1000}
+# Per check: the verify options it reads and the call it makes. The library
+# owns every default, so an option the user did not give is not passed.
+_CLAIM = ("tree", "epsilon", "nc")
+_TRIALS = (*_CLAIM, "trials")
 _VERIFY = {
     "claim1": (_CLAIM, _claim(reduction.verify_claim1, "epsilon", "m_min")),
     "claim2": (_TRIALS, _claim(reduction.verify_claim2, "trials", "seed")),
     "claim3": (_TRIALS, _claim(reduction.verify_claim3, "trials", "seed",
                                "epsilon", "m_min")),
-    "prop1": ({"epsilon": None, "restarts": _FIT_DEFAULTS.restarts}, _prop1),
+    "prop1": (("epsilon", "restarts"), _prop1),
 }
 
 
 def _cmd_verify(args) -> int:
     matrix = characters.parse_matrix(_read(args.matrix))
     options, check = _VERIFY[args.check]
-    for name in ("tree", "epsilon", "nc", "trials", "restarts"):
-        if getattr(args, name) is None:
-            setattr(args, name, options.get(name))
-        elif name not in options:
+    for name in _given(args, "tree", "epsilon", "nc", "trials", "restarts"):
+        if name not in options:
             raise UsageError(f"verify {args.check} does not read --{name}")
     started = time.perf_counter()
     report = check(args, matrix)
@@ -338,9 +324,12 @@ def run(argv=None) -> int:
         if (flag.startswith("-") and parser._parse_optional(value) is None
                 and flag.split("=")[0] not in parser._option_string_actions):
             parser.error(f"unrecognized arguments: {flag} {value}")
-    args = parser.parse_args(argv)
-    try:
-        _apply_common_defaults(args)
+    parsed = vars(parser.parse_args(argv))
+    try:  # the shared flags' defaults under what was parsed (see build_parser)
+        args = argparse.Namespace(**dict(
+            format="text", out=None, seed=0, timing=False,
+            n_max=_env_int("PARSIML_N_MAX", trees.DEFAULT_TOPOLOGY_CAP),
+            m_min=_env_int("PARSIML_M_MIN", reduction.DEFAULT_M_MIN)) | parsed)
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"parsiml: error: {exc}", file=sys.stderr)

@@ -62,6 +62,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.tol > 0:  # also refuses NaN
             raise ValueError(f"tol must be > 0, got {self.tol}")
+        if self.tol == math.inf:  # one sweep could never fall below it
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 

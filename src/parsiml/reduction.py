@@ -34,6 +34,8 @@ per-character inequalities are graded on ln f, by :func:`_per_char_violations`,
 so the slack is relative to f however far below 1e-12 a bound on f falls.
 Costs are scored on raw edge vectors by :func:`normalized_costs`. No check
 reads a clock: ``runtime_ms`` stays None unless the CLI times the check.
+Defaults live here, not in the CLI (claim2 and claim3 draw 1000 trials), and
+an epsilon given to claim1 or claim3 passes the padding's (0, 1] rule.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from parsiml.characters import DataMatrix, PaddedInstance, pad_constant_sites
+from parsiml.characters import (DataMatrix, PaddedInstance, _check_epsilon,
+                                pad_constant_sites)
 # modified_loglik and pattern_likelihoods stay only for the bench tracer
 from parsiml.likelihood import (EdgeProbs, _pattern_logs, modified_loglik,
                                 modified_logliks, pattern_likelihoods)
@@ -68,6 +71,9 @@ _PER_CHAR_SLACK = 1e-12
 CSV_FIELDS = ("check", "instance", "epsilon", "M", "N_c", "q", "p_bar",
               "lhs", "bound", "margin", "verdict", "trials", "seed",
               "runtime_ms")
+# JSON key -> report field for the quantities; other fields keep their names.
+_QUANTITIES = {"epsilon": "epsilon", "M": "size", "N_c": "pad_count", "q": "q",
+               "p_bar": "p_bar"}
 
 
 @dataclass(frozen=True)
@@ -152,28 +158,11 @@ class VerifierReport:
         return self.lhs - self.bound
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "instance": self.instance,
-            "quantities": {
-                "epsilon": self.epsilon,
-                "M": self.size,
-                "N_c": self.pad_count,
-                "q": self.q,
-                "p_bar": self.p_bar,
-            },
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "direction": self.direction,
-            "margin": self.margin,
-            "preconditions_met": self.preconditions_met,
-            "verdict": self.verdict,
-            "note": self.note,
-            "trials": self.trials,
-            "seed": self.seed,
-            "runtime_ms": self.runtime_ms,
-            "details": self.details,
-        }
+        row = {name: value for name, value in vars(self).items()
+               if name not in _QUANTITIES.values()}
+        row["quantities"] = {key: getattr(self, name)
+                             for key, name in _QUANTITIES.items()}
+        return {**row, "margin": self.margin}
 
     def to_json(self) -> str:
         return json.dumps(jsonable(self.to_json_dict()), sort_keys=True,
@@ -188,9 +177,9 @@ class VerifierReport:
         lines = [
             f"check     {self.check}",
             f"instance  {self.instance}",
-            f"quantities  epsilon={format_cell(self.epsilon)} M={self.size} "
-            f"N_c={self.pad_count} q={format_cell(self.q)} "
-            f"p_bar={format_cell(self.p_bar)}",
+            "quantities  " + " ".join(
+                f"{key}={format_cell(getattr(self, name))}"
+                for key, name in _QUANTITIES.items()),
             f"inequality  lhs={format_cell(self.lhs)} "
             f"{'<=' if self.direction == 'lhs<=bound' else '>='} "
             f"bound={format_cell(self.bound)}  margin={format_cell(self.margin)}",
@@ -242,11 +231,11 @@ def _per_char_violations(tree: Tree, padded: PaddedInstance, vecs,
 
 
 def _epsilon(padded: PaddedInstance, epsilon: float | None) -> float:
-    """``epsilon``, else the padding's; refuses when neither is set."""
+    """``epsilon``, else the padding's; refused if unset or outside (0, 1]."""
     epsilon = padded.params.epsilon if epsilon is None else epsilon
     if epsilon is None:
         raise ValueError("epsilon is required (the padding carried none)")
-    return epsilon
+    return _check_epsilon(epsilon)
 
 
 def _report(check: str, padded: PaddedInstance, tree: Tree | None,
@@ -381,7 +370,7 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
                  "min_gap": worst - qty.score if math.isfinite(worst) else None})
 
 
-def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 200,
+def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 1000,
                   seed: int = 0, epsilon: float | None = None,
                   m_min: int = DEFAULT_M_MIN) -> VerifierReport:
     """Lower bound over the whole probability box.

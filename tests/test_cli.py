@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,9 +7,12 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from parsiml import reduction
+from parsiml.characters import pad_constant_sites
 from parsiml.cli import run
 
 QUARTET = "((1,2),(3,4));\n"
@@ -17,6 +21,22 @@ CONSTANT = "4 2\n1 00\n2 00\n3 00\n4 00\n"
 
 
 def run_cli(*args, env=None):
+    """Run the CLI in this process, as ``python -m parsiml.cli`` would."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if env is not None:
+            stack.enter_context(mock.patch.dict(os.environ, env, clear=True))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            code = run(list(args))
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
+
+
+def run_module(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "parsiml.cli", *args],
         capture_output=True, text=True, env=env)
@@ -98,6 +118,7 @@ class TestSearch:
             assert json.loads(row[head.index(key)]) == payload[key]
 
     @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "nan"),
+                                            ("--tol", "inf"),
                                             ("--restarts", "0"),
                                             ("--restarts", "-2")])
     def test_bad_optimizer_settings_refused(self, workdir, flag, value):
@@ -186,8 +207,9 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("name", ["PARSIML_N_MAX", "PARSIML_M_MIN"])
     def test_malformed_env_is_one_line_error(self, name):
+        # run as a module in its own process: no traceback reaches stderr
         env = dict(os.environ, **{name: "abc"})
-        proc = run_cli("enumerate", "--n", "4", env=env)
+        proc = run_module("enumerate", "--n", "4", env=env)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr == \
@@ -294,6 +316,32 @@ class TestVerify:
         assert proc.stdout == ""
         assert proc.stderr == \
             f"parsiml: error: verify {check} does not read {given[0]}\n"
+
+    @pytest.mark.parametrize("check,trials", [("claim2", 1000),
+                                              ("claim3", 4133)])
+    def test_cli_and_library_report_the_same_trials(self, workdir, quartet,
+                                                    quartet_matrix, check,
+                                                    trials):
+        # the library owns the --trials default; claim3 adds its 3^5 grid
+        # points, the canonical q, the fit and five threshold probes
+        proc = run_cli("--format", "json", "verify", check,
+                       "--matrix", str(workdir / "x.mat"),
+                       "--tree", str(workdir / "t.nwk"), "--epsilon", "0.5")
+        verify = getattr(reduction, f"verify_{check}")
+        library = verify(pad_constant_sites(quartet_matrix, 0.5), quartet)
+        assert json.loads(proc.stdout)["trials"] == library.trials == trials
+
+    @pytest.mark.parametrize("check", ["claim1", "claim3"])
+    @pytest.mark.parametrize("epsilon", ["nan", "7"])
+    def test_epsilon_override_out_of_range_refused(self, workdir, check,
+                                                   epsilon):
+        proc = run_cli("verify", check, "--matrix", str(workdir / "x.mat"),
+                       "--tree", str(workdir / "t.nwk"), "--nc", "10",
+                       "--epsilon", epsilon)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "parsiml: error: epsilon must lie in (0, 1], " \
+            f"got {float(epsilon)}\n"
 
     def test_claim_requires_tree(self, workdir):
         proc = run_cli("verify", "claim2",

@@ -91,6 +91,7 @@ class TestOptimizeEdges:
 
     @pytest.mark.parametrize("field,value", [("tol", 0.0), ("tol", -1.0),
                                              ("tol", math.nan),
+                                             ("tol", math.inf),
                                              ("restarts", 0),
                                              ("restarts", -2)])
     def test_bad_config_refused(self, field, value):

@@ -193,6 +193,16 @@ def test_degenerate_report_keeps_the_resolved_epsilon(quartet, verify):
     assert json.loads(report.to_json())["quantities"]["epsilon"] == 0.5
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, -3.0, 0.0, 7.0])
+@pytest.mark.parametrize("verify", [verify_claim1, verify_claim3],
+                         ids=["claim1", "claim3"])
+def test_epsilon_override_obeys_the_padding_rule(quartet, quartet_matrix,
+                                                 verify, epsilon):
+    # the rule and message of pad_constant_sites, on a pad without epsilon
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\], "):
+        verify(pad_with_count(quartet_matrix, 10), quartet, epsilon=epsilon)
+
+
 class TestUnderflow:
     """64 leaves at epsilon = 0.15: N_c ~ 1.1e14 fits under 2^53, but the
     canonical q makes pattern likelihoods underflow the double range."""
@@ -312,8 +322,11 @@ class TestProp1Chain:
 class TestReportSerialization:
     def test_json_schema(self, quartet, quartet_padded):
         report = verify_claim1(quartet_padded, quartet)
-        report.runtime_ms = None
         payload = json.loads(report.to_json())
+        assert set(payload) == {
+            "check", "instance", "quantities", "lhs", "bound", "direction",
+            "margin", "preconditions_met", "verdict", "note", "trials", "seed",
+            "runtime_ms", "details"}
         assert payload["verdict"] == "pass"
         assert set(payload["quantities"]) == {"epsilon", "M", "N_c", "q", "p_bar"}
         assert payload["quantities"]["M"] == 8
@@ -328,7 +341,6 @@ class TestReportSerialization:
 
     def test_csv_single_row(self, quartet, quartet_padded):
         report = verify_claim2(quartet_padded, quartet, trials=20, seed=1)
-        report.runtime_ms = None
         row = report.to_csv_row()
         assert row.count("\n") == 1
         cells = next(csv.reader(io.StringIO(row)))
@@ -339,7 +351,6 @@ class TestReportSerialization:
     def test_reports_reproducible(self, quartet, quartet_padded):
         a = verify_claim2(quartet_padded, quartet, trials=50, seed=9)
         b = verify_claim2(quartet_padded, quartet, trials=50, seed=9)
-        a.runtime_ms = b.runtime_ms = None
         assert a.to_json() == b.to_json()
 
     @pytest.mark.parametrize("make", [
