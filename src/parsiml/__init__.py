@@ -24,7 +24,7 @@ from parsiml.reduction import (ReductionQuantities, VerifierReport,
                                verify_prop1_chain)
 from parsiml.trees import (NewickError, TopologyCapError, Tree,
                            canonical_newick, enumerate_topologies, is_binary,
-                           parse_newick, topology_count, validate)
+                           parse_newick, topology_count)
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,5 @@ __all__ = [
     "verify_prop1_chain",
     "NewickError", "TopologyCapError", "Tree", "canonical_newick",
     "enumerate_topologies", "is_binary", "parse_newick", "topology_count",
-    "validate",
     "__version__",
 ]

@@ -258,6 +258,9 @@ def _claim(verify, *keywords):
     def call(args, matrix):
         if not args.tree:
             raise UsageError(f"verify {args.check} requires --tree")
+        if None not in (args.nc, args.epsilon) and "epsilon" not in keywords:
+            raise UsageError(
+                f"verify {args.check} does not read --epsilon beside --nc")
         tree = trees.parse_newick(_read(args.tree))
         return verify(_padded(matrix, args), tree, **_given(args, *keywords))
     return call

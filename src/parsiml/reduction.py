@@ -239,19 +239,18 @@ def _epsilon(padded: PaddedInstance, epsilon: float | None) -> float:
 
 
 def _report(check: str, padded: PaddedInstance, tree: Tree | None,
-            qty: ReductionQuantities, epsilon: float | None = None,
+            qty: ReductionQuantities, epsilon: float | None,
             **fields) -> VerifierReport:
     """A report with the fields every check fills alike: the instance
-    (tree-less when ``tree`` is None), epsilon (the padding's by default),
+    (tree-less when ``tree`` is None), the epsilon its caller resolved,
     M, N_c, q and p_bar."""
     instance = f"n={padded.base.n} k={padded.base.k} N_c={qty.pad_count}"
     if tree is not None:
         instance += f" tree={canonical_newick(tree)}"
     return VerifierReport(
         check=check, instance=instance,
-        epsilon=padded.params.epsilon if epsilon is None else epsilon,
-        size=padded.params.size, pad_count=qty.pad_count, q=qty.q,
-        p_bar=qty.p_bar, **fields)
+        epsilon=epsilon, size=padded.params.size, pad_count=qty.pad_count,
+        q=qty.q, p_bar=qty.p_bar, **fields)
 
 
 def _grade(hard: str, held: bool, preconditions: bool, small_note: str,
@@ -273,7 +272,7 @@ def _grade(hard: str, held: bool, preconditions: bool, small_note: str,
 
 def _degenerate_report(check: str, padded: PaddedInstance, tree: Tree,
                        qty: ReductionQuantities,
-                       epsilon: float | None = None) -> VerifierReport:
+                       epsilon: float | None) -> VerifierReport:
     # l = 0 means every character is constant; padding changes nothing and
     # the all-zero probability vector already achieves cost 0 = l. q and
     # p_bar are exactly 0.0 at l = 0.
@@ -333,13 +332,14 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
     """
     if trials < 1:
         raise ValueError(f"claim2 needs trials >= 1, got {trials}")
+    epsilon = padded.params.epsilon
     qty = quantities_for(tree, padded)
     if qty.score == 0:
-        return _degenerate_report("claim2", padded, tree, qty)
+        return _degenerate_report("claim2", padded, tree, qty, epsilon)
     p_bar = qty.p_bar
     if p_bar >= 0.5:
         return _report(
-            "claim2", padded, tree, qty, lhs=math.inf,
+            "claim2", padded, tree, qty, epsilon, lhs=math.inf,
             bound=float(qty.score), direction="lhs>=bound",
             preconditions_met=True, verdict="pass",
             note=f"vacuous: p_bar={p_bar} >= 1/2, no admissible vector "
@@ -361,8 +361,8 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
     worst = min(costs)
     violations = sum(cost <= qty.score for cost in costs)
     return _report(
-        "claim2", padded, tree, qty, lhs=worst, bound=float(qty.score),
-        direction="lhs>=bound", preconditions_met=True,
+        "claim2", padded, tree, qty, epsilon, lhs=worst,
+        bound=float(qty.score), direction="lhs>=bound", preconditions_met=True,
         verdict="pass" if violations == 0 else "fail",
         note="" if violations == 0 else f"{violations} trials at or below the score",
         trials=trials, seed=seed,

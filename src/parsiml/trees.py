@@ -2,8 +2,10 @@
 
 Leaves are the vertices 1..n and each leaf's label is its vertex id, so a
 character vector is indexed by ``ch[v - 1]`` at leaf v; internal vertices use
-ids n+1 and up. Trees are immutable after construction and every operation
-in this module is a pure function, so concurrent use needs no coordination.
+ids n+1 and up. Every :class:`Tree` is a tree: construction refuses any
+graph that is not one, so no kernel sees a malformed graph. Trees are
+immutable after construction and every operation in this module is a pure
+function, so concurrent use needs no coordination.
 
 Canonical serialization: the tree is rooted at the internal vertex adjacent
 to leaf 1 (for two leaves, at leaf 1 itself) and children are sorted
@@ -85,6 +87,11 @@ class Tree:
         other vertex is internal. Vertex ids must be positive.
     edges : iterable of (int, int)
         Undirected edges; orientation and order are irrelevant.
+
+    Construction raises ValueError unless the edges form one tree whose
+    leaves 1..n have degree 1 and whose internal vertices have degree >= 3.
+    Leaf degrees are checked before the canonical :meth:`rooted_plan` walk
+    (its anchor hangs off leaf 1), which refuses a cycle or a split graph.
     """
 
     __slots__ = ("n", "edges", "vertices", "_adj", "_edge_index",
@@ -94,33 +101,34 @@ class Tree:
         self.n = int(n)
         if self.n < 1:
             raise ValueError("leaf count must be positive")
-        seen: set[Edge] = set()
-        normalized = []
-        for u, v in edges:
-            e = _normalize_edge(int(u), int(v))
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            normalized.append(e)
-        self.edges: tuple[Edge, ...] = tuple(sorted(normalized))
+        self.edges: tuple[Edge, ...] = tuple(sorted(
+            _normalize_edge(int(u), int(v)) for u, v in edges))
         if not self.edges:
             raise ValueError("a tree needs at least one edge")
-        verts: set[int] = set()
+        for e, f in zip(self.edges, self.edges[1:]):
+            if e == f:
+                raise ValueError(f"duplicate edge {e}")
+        # sorted edges list each vertex's neighbours in increasing order
+        adj: dict[int, list[int]] = {}
         for u, v in self.edges:
-            verts.add(u)
-            verts.add(v)
-        if min(verts) < 1:
-            raise ValueError(f"vertex id {min(verts)} is not positive")
-        self.vertices = frozenset(verts)
-
-        adj: dict[int, list[int]] = {v: [] for v in verts}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        if min(adj) < 1:
+            raise ValueError(f"vertex id {min(adj)} is not positive")
+        self._adj = {v: tuple(ws) for v, ws in adj.items()}
+        self.vertices = frozenset(adj)
+        for v in range(1, self.n + 1):  # before the walk, anchored at leaf 1
+            degree = len(adj.get(v, ()))
+            if degree != 1:
+                raise ValueError(f"leaf {v} has degree {degree}, expected 1")
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._canonical: str | None = None
         self._plans: dict = {}
+        self.rooted_plan()  # refuses a cycle or a disconnected graph
+        for v, ws in self._adj.items():
+            if v > self.n and len(ws) < 3:
+                raise ValueError(f"internal degree-{len(ws)} vertex {v}: "
+                                 f"an internal vertex needs degree >= 3")
 
     # -- structure queries -------------------------------------------------
 
@@ -155,8 +163,7 @@ class Tree:
         Returns a tuple of ``(vertex, children)`` pairs in postorder, where
         ``children`` is a tuple of ``(child_vertex, edge_index)``. Cached per
         anchor; the plan is shared by the scoring and likelihood code.
-        Raises ValueError on an anchor that is not a vertex, a cycle, or a
-        vertex the walk cannot reach.
+        Raises ValueError on an anchor that is not a vertex.
         """
         if anchor is None:
             anchor = self.canonical_root()
@@ -176,58 +183,12 @@ class Tree:
         return hash((self.n, self.edges))
 
     def __repr__(self):
-        try:
-            return f"Tree({canonical_newick(self)!r})"
-        except Exception:
-            return f"Tree(n={self.n}, edges={self.edges})"
+        return f"Tree({canonical_newick(self)!r})"
 
 
 def is_binary(tree: Tree) -> bool:
     """True when every internal vertex has degree exactly 3."""
     return all(tree.degree(v) == 3 for v in tree.internal_vertices())
-
-
-def validate(tree: Tree) -> list[str]:
-    """Check every structural invariant; return the list of violations.
-
-    An empty list means the tree is well formed: connected, acyclic, leaves
-    1..n present and exactly the degree-1 vertices, and no internal vertex
-    of degree below 3.
-    """
-    violations: list[str] = []
-    verts = tree.vertices
-    if len(tree.edges) != len(verts) - 1:
-        violations.append(
-            f"edge count {len(tree.edges)} != vertex count - 1 ({len(verts) - 1}): not a tree")
-    # connectivity
-    start = next(iter(verts))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in tree.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if seen != verts:
-        violations.append("not connected")
-
-    leaves = set(range(1, tree.n + 1))
-    if leaves - verts:
-        violations.append(f"labeled leaves missing from the vertex set: {sorted(leaves - verts)}")
-
-    degree1 = {v for v in verts if tree.degree(v) == 1}
-    for v in sorted(degree1 - leaves):
-        violations.append(f"degree-1 vertex {v} carries no leaf label")
-    for v in sorted(leaves & verts):
-        if tree.degree(v) != 1:
-            violations.append(f"leaf {v} has degree {tree.degree(v)}, expected 1")
-    for v in sorted(verts - leaves):
-        if tree.degree(v) == 2:
-            violations.append(f"internal degree-2 vertex {v}")
-        elif tree.degree(v) < 2:
-            violations.append(f"internal vertex {v} has degree {tree.degree(v)}")
-    return violations
 
 
 def canonical_newick(tree: Tree) -> str:

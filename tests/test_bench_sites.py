@@ -8,10 +8,12 @@ files' source with ``ast``, without importing anything from ``bench/``.
 The package also keeps no dead import, apart from the names the tracer
 swaps in the importing module, which must stay bound there, and imports no
 threading module: it runs in its caller's thread. Only the CLI imports
-``time``: it alone reads a clock.
+``time``: it alone reads a clock. Every refusal is a ValueError or the
+CLI's UsageError, so it reaches ``cli.run``'s one-line handler.
 """
 
 import ast
+import builtins
 import importlib
 import inspect
 from pathlib import Path
@@ -156,3 +158,45 @@ def test_one_clock(path):
     if path.name != "cli.py":
         assert "time" not in top_level_imports(path), \
             f"{path.name} imports time"
+
+
+def raised_names(path):
+    """(function, name) for every ``raise`` in ``path``: the exception's
+    class name, or None for a bare re-raise or an expression."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((function, getattr(exc, "id", None)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_refusals_reach_the_one_line_handler(path):
+    # cli.run prints a UsageError or ValueError as one stderr line, exit 1;
+    # a catch-all except would turn a bug into a refusal or hide it
+    from parsiml.cli import UsageError
+
+    module = importlib.import_module(f"parsiml.{path.stem}")
+    stray = []
+    for function, name in raised_names(path):
+        cls = getattr(module, name, getattr(builtins, name, None)) \
+            if name else None
+        ok = (isinstance(cls, type) and issubclass(cls, ValueError)
+              or cls is UsageError
+              or (path.name, function, cls) == ("cli.py", "main", SystemExit))
+        if not ok:
+            stray.append(f"{function}: raise {name}")
+    assert not stray, f"{path.name} raises outside the refusal types: {stray}"
+    catch_all = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ExceptHandler)
+                 and (node.type is None
+                      or getattr(node.type, "id", None) == "Exception")]
+    assert not catch_all, f"{path.name} catches everything at {catch_all}"

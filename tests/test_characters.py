@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsiml import (DataMatrix, EdgeProbs, MatrixFormatError,
-                     PaddingCapError, brute_force_score,
+                     PaddedInstance, PaddingCapError, ReductionParams,
+                     brute_force_score,
                      char_likelihood_exhaustive, char_likelihood_pruning,
                      complement, fitch_score, is_constant, pad_constant_sites,
                      pad_with_count, parse_matrix, parse_newick,
@@ -76,6 +77,15 @@ class TestDataMatrix:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             DataMatrix.from_columns(2, [(0, 2)])
+
+    @pytest.mark.parametrize("n,patterns,message", [
+        (0, (((), 1),), "leaf count must be positive"),
+        (2, (((0, 1), 0),), r"multiplicity 0 < 1 for pattern \(0, 1\)"),
+        (2, (((1, 0), 1), ((0, 1), 1)), "patterns must be sorted and distinct"),
+    ], ids=["no-leaf", "zero-multiplicity", "unsorted"])
+    def test_refused(self, n, patterns, message):
+        with pytest.raises(ValueError, match=message):
+            DataMatrix(n, patterns)
 
     def test_expanded_columns_preserve_k(self):
         m = DataMatrix.from_columns(3, [(0, 0, 1)] * 5 + [(1, 0, 1)])
@@ -167,6 +177,9 @@ class TestPadding:
         (8, 0.6, 32),
         (64, 0.15, 2 ** 40),
         (42, 0.12, 33657156332705),
+        # ceil(M ** (1/eps)) is one below the least exact N here
+        (224, 0.18, 11400750335695),
+        (2066, 0.28, 691434639115),
     ])
     def test_pinned_pad_counts(self, size, eps, pad):
         base = DataMatrix(1, (((0,), 1), ((1,), size - 1)))
@@ -191,6 +204,20 @@ class TestPadding:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 pad_constant_sites(quartet_matrix, bad)
+
+    def test_padded_instance_refuses_an_inconsistent_pad(self,
+                                                         quartet_matrix):
+        padded = pad_with_count(quartet_matrix, 10).padded
+        with pytest.raises(ValueError, match="base k plus the pad count"):
+            PaddedInstance(quartet_matrix, padded,
+                           ReductionParams(None, 8, 11))
+        ones = quartet_matrix.with_extra((1, 1, 1, 1), 10)
+        with pytest.raises(ValueError, match="missing the constant-zero block"):
+            PaddedInstance(quartet_matrix, ones, ReductionParams(None, 8, 10))
+
+    def test_explicit_count_must_be_positive(self, quartet_matrix):
+        with pytest.raises(ValueError, match="pad_count must be >= 1"):
+            pad_with_count(quartet_matrix, 0)
 
     def test_explicit_count(self, quartet_matrix):
         padded = pad_with_count(quartet_matrix, 100)
@@ -276,6 +303,22 @@ class TestMatrixIO:
         assert m.patterns == (((0, 0, 1, 1), 1000000),)
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("text,message,line", [
+        ("1 2 3\n", "expected header 'n k'", 1),
+        ("a b\n", "expected integer header", 1),
+        ("0 3\n", "leaf count 0 must be positive", 1),
+        ("2 2\ncounts 1 x\n1 00\n2 01\n", "counts line must hold integers", 2),
+        ("2 2\ncounts 0 2\n1 00\n2 01\n", "counts must be positive integers",
+         2),
+        ("3 2\n1 00\n2 01\n", "expected 3 leaf rows, found 2", 3),
+        ("2 2\nx 01\n2 10\n", "expected a leaf id", 2),
+    ], ids=["three-field-header", "non-integer-header", "no-leaf",
+            "non-integer-count", "zero-count", "missing-row", "non-integer-id"])
+    def test_refusal_names_its_line(self, text, message, line):
+        with pytest.raises(MatrixFormatError, match=message) as err:
+            parse_matrix(text)
+        assert err.value.line == line
+
     def test_counts_must_match_k(self):
         with pytest.raises(MatrixFormatError, match="counts sum to 3"):
             parse_matrix("4 2\ncounts 1 2\n1 00\n2 01\n3 10\n4 11\n")
@@ -293,6 +336,10 @@ class TestRandomInstance:
         m = random_instance(5, 1000, seed=3)
         constant = sum(mult for ch, mult in m.patterns if is_constant(ch))
         assert abs(constant / 1000 - 2 / 32) <= 0.03
+
+    def test_too_few_leaves_rejected(self):
+        with pytest.raises(ValueError, match="random instances need n >= 3"):
+            random_instance(2, 3, seed=0)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError, match="k >= 1"):

@@ -343,6 +343,30 @@ class TestVerify:
         assert proc.stderr == "parsiml: error: epsilon must lie in (0, 1], " \
             f"got {float(epsilon)}\n"
 
+    @pytest.mark.parametrize("epsilon", ["nan", "0.5"])
+    def test_claim2_refuses_epsilon_beside_nc(self, workdir, epsilon):
+        # claim2's bound reads no epsilon, so beside --nc it would be dropped
+        proc = run_cli("verify", "claim2", "--matrix", str(workdir / "x.mat"),
+                       "--tree", str(workdir / "t.nwk"), "--nc", "10",
+                       "--epsilon", epsilon, "--trials", "5")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "parsiml: error: verify claim2 does not read " \
+            "--epsilon beside --nc\n"
+
+    @pytest.mark.parametrize("check,tree,message", [
+        ("claim1", True, "verify claim1 requires --epsilon or --nc"),
+        ("prop1", False, "verify prop1 requires --epsilon"),
+    ])
+    def test_missing_padding_option_refused(self, workdir, check, tree,
+                                            message):
+        given = ["--tree", str(workdir / "t.nwk")] if tree else []
+        proc = run_cli("verify", check, "--matrix", str(workdir / "x.mat"),
+                       *given)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"parsiml: error: {message}\n"
+
     def test_claim_requires_tree(self, workdir):
         proc = run_cli("verify", "claim2",
                        "--matrix", str(workdir / "x.mat"),

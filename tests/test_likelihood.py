@@ -73,6 +73,13 @@ class TestPerCharacter:
                     fast = char_likelihood_pruning(tree, probs, ch)
                     assert fast == pytest.approx(slow, rel=1e-12)
 
+    def test_exhaustive_sum_refuses_past_its_cap(self):
+        tree = caterpillar(27)
+        with pytest.raises(ValueError, match=r"25 internal vertices exceeds "
+                                             r"the exhaustive cap \(24\)"):
+            char_likelihood_exhaustive(tree, EdgeProbs.uniform(tree, 0.1),
+                                       (0,) * 27)
+
     def test_anchor_invariance(self):
         tree = caterpillar(5)
         rng = np.random.default_rng(7)
@@ -252,6 +259,11 @@ def test_one_cost_sum_same_bits(n):
 
 
 class TestDatasetCost:
+    def test_leaf_count_mismatch_refused(self, quartet):
+        with pytest.raises(ValueError, match="matrix has 5 leaves, tree has 4"):
+            modified_loglik(quartet, EdgeProbs.uniform(quartet, 0.1),
+                            random_instance(5, 3, 0))
+
     def test_two_leaf_cost(self, two_leaf):
         data = DataMatrix.from_columns(2, [(0, 1)])
         probs = EdgeProbs.uniform(two_leaf, 0.25)
@@ -404,6 +416,17 @@ class TestProbsSidecar:
     def test_bad_line(self, quartet):
         with pytest.raises(ValueError, match="line 1"):
             parse_probs("nonsense\n", quartet)
+
+    def test_bad_number(self, quartet):
+        with pytest.raises(ValueError, match="line 1: expected 'u v p'"):
+            parse_probs("1 5 x\n", quartet)
+
+    def test_comments_and_blank_lines_skipped(self, quartet):
+        probs = EdgeProbs.uniform(quartet, 0.25)
+        lines = write_probs(quartet, probs).splitlines()
+        text = "# one line per edge\n\n" + "\n".join(
+            f"{line}  # edge {i}" for i, line in enumerate(lines)) + "\n\n"
+        assert parse_probs(text, quartet).vector(quartet) == [0.25] * 5
 
 
 def _path_edges(tree, u, v):

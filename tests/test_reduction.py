@@ -97,6 +97,11 @@ class TestClaim1:
         report = verify_claim1(padded, quartet, epsilon=0.05, m_min=1)
         assert report.verdict == "fail"
 
+    def test_epsilon_required_without_one_in_the_padding(self, quartet,
+                                                         quartet_matrix):
+        with pytest.raises(ValueError, match="epsilon is required"):
+            verify_claim1(pad_with_count(quartet_matrix, 10), quartet)
+
 
 class TestClaim2:
     def test_quartet_no_violations(self, quartet, quartet_padded):

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsiml import (EdgeProbs, NewickError, TopologyCapError, Tree,
-                     canonical_newick, char_likelihood_pruning,
-                     enumerate_topologies, is_binary, parse_newick,
-                     pattern_likelihoods, topology_count, validate)
+                     brute_force_score, canonical_newick,
+                     char_likelihood_exhaustive, char_likelihood_pruning,
+                     enumerate_topologies, fitch_score, is_binary,
+                     parse_newick, pattern_likelihoods, topology_count)
 
-from conftest import caterpillar, reference_rooted_plan
+from conftest import (all_characters, caterpillar, random_tree,
+                      reference_rooted_plan)
 
 
 @st.composite
@@ -45,13 +48,15 @@ class TestEdgeCount:
 
 
 class TestValidate:
+    """Every ``Tree`` is a tree: construction refuses any other graph."""
+
     def test_quartet_ok(self, quartet):
-        assert validate(quartet) == []
+        assert Tree(4, quartet.edges) == quartet
 
     def test_internal_degree_two(self):
         # the path 1 - 3 - 2: vertex 3 is an unlabeled degree-2 vertex
-        tree = Tree(2, [(1, 3), (2, 3)])
-        assert any("internal degree-2 vertex" in v for v in validate(tree))
+        with pytest.raises(ValueError, match="internal degree-2 vertex 3"):
+            Tree(2, [(1, 3), (2, 3)])
 
     def test_nonpositive_vertex_rejected(self):
         # leaf v is vertex v, so an id below 1 could be mistaken for a leaf
@@ -59,10 +64,8 @@ class TestValidate:
             Tree(3, [(0, 1), (0, 2), (0, 3)])
 
     def test_disconnected(self):
-        tree = Tree(4, [(1, 2), (3, 4)])
-        problems = validate(tree)
-        assert any("not connected" in v for v in problems)
-        assert any("edge count" in v for v in problems)
+        with pytest.raises(ValueError, match="one tree"):
+            Tree(4, [(1, 2), (3, 4)])
 
     @pytest.mark.parametrize("n,edges", [
         (3, [(1, 4), (2, 4), (3, 5), (4, 5), (5, 6), (4, 6)]),
@@ -72,8 +75,8 @@ class TestValidate:
         # in a child process with a timeout: a cycle once made the
         # traversal loop forever
         code = (f"from parsiml import Tree, fitch_score\n"
-                f"tree = Tree({n}, {edges})\n"
                 f"try:\n"
+                f"    tree = Tree({n}, {edges})\n"
                 f"    fitch_score(tree, (0,) * {n})\n"
                 f"except ValueError as exc:\n"
                 f"    print('refused:', exc)\n")
@@ -84,13 +87,75 @@ class TestValidate:
 
     def test_leaf_with_wrong_degree(self):
         # leaf 3 sits in the middle of a path
-        tree = Tree(3, [(1, 3), (3, 2)])
-        assert any("leaf 3 has degree 2" in v for v in validate(tree))
+        with pytest.raises(ValueError, match="leaf 3 has degree 2"):
+            Tree(3, [(1, 3), (3, 2)])
+
+    @pytest.mark.parametrize("n,edges,message", [
+        (4, [(1, 5), (2, 5), (3, 5)], "leaf 4 has degree 0, expected 1"),
+        (3, [(1, 4), (2, 4), (3, 4), (4, 7)], "internal degree-1 vertex 7"),
+        (3, [(1, 4), (2, 4), (3, 4), (4, 4)], "self-loop on vertex 4"),
+        (3, [(1, 4), (2, 4), (3, 4), (4, 1)], r"duplicate edge \(1, 4\)"),
+        (3, [], "at least one edge"),
+        (0, [(1, 2)], "leaf count must be positive"),
+        (1, [(1, 2)], "internal degree-1 vertex 2"),
+    ], ids=["missing-leaf", "unlabeled-pendant", "self-loop", "duplicate-edge",
+            "no-edge", "no-leaf", "one-leaf"])
+    def test_refused_at_construction(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Tree(n, edges)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_enumerated_trees_are_valid(self, n):
         for tree in enumerate_topologies(n):
-            assert validate(tree) == []
+            text = canonical_newick(tree)
+            assert canonical_newick(parse_newick(text)) == text
+
+
+def _mutations(tree, rng):
+    """Edge lists that each break one rule, for every mutation that fits."""
+    edges = list(tree.edges)
+    internal = tree.internal_vertices()
+    fresh = max(tree.vertices) + 1
+    u, v = edges[rng.randrange(len(edges))]
+    yield "subdivide", [e for e in edges if e != (u, v)] + [(u, fresh),
+                                                            (fresh, v)]
+    leaf = rng.randint(1, tree.n)
+    yield "drop-leaf-edge", [e for e in edges if leaf not in e]
+    if internal:
+        yield "hang", edges + [(rng.choice(internal), fresh)]
+        w = rng.choice(internal)
+        swap = {leaf: w, w: leaf}
+        yield "swap-ids", [(swap.get(a, a), swap.get(b, b)) for a, b in edges]
+    chords = [(a, b) for a in internal for b in internal
+              if a < b and (a, b) not in tree.edges]
+    if chords:
+        yield "chord", edges + [rng.choice(chords)]
+
+
+def _refused(n, edges) -> bool:
+    try:
+        Tree(n, edges)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_only_trees_construct_and_kernels_agree_on_them(n):
+    for seed in range(10):
+        tree = random_tree(n, seed)
+        rng = random.Random(seed)
+        for name, edges in _mutations(tree, rng):
+            assert _refused(n, edges), f"{name} mutation accepted: {edges}"
+        probs = EdgeProbs.from_vector(
+            tree, [rng.uniform(0.0, 0.5) for _ in tree.edges])
+        for ch in all_characters(n):
+            assert fitch_score(tree, ch) == brute_force_score(tree, ch)
+            assert char_likelihood_pruning(tree, probs, ch) == pytest.approx(
+                char_likelihood_exhaustive(tree, probs, ch), rel=1e-12)
+        again = parse_newick(canonical_newick(tree))
+        assert canonical_newick(again) == canonical_newick(tree)
+        assert len(again.edges) == len(tree.edges)
 
 
 class TestRootedPlan:
@@ -163,6 +228,8 @@ class TestEnumeration:
     def test_too_few_leaves(self):
         with pytest.raises(ValueError):
             next(enumerate_topologies(2))
+        with pytest.raises(ValueError, match="defined for n >= 3"):
+            topology_count(2)
 
 
 class TestNewick:
@@ -184,14 +251,12 @@ class TestNewick:
 
     def test_multifurcation_allowed(self):
         star = parse_newick("(1,2,3,4);")
-        assert validate(star) == []
         assert not is_binary(star)
         assert star.degree(star.canonical_root()) == 4
 
     def test_star_resolved_form(self):
         # the unrooted topology of ((1,2),3,4) is the quartet 12|34
         tree = parse_newick("((1,2),3,4);")
-        assert validate(tree) == []
         assert all(tree.degree(v) == 3 for v in tree.internal_vertices())
         assert canonical_newick(tree) == "(1,2,(3,4));"
 
@@ -211,6 +276,12 @@ class TestNewick:
     def test_malformed_inputs(self, bad):
         with pytest.raises(NewickError):
             parse_newick(bad)
+
+    def test_end_of_input_names_its_position(self):
+        message = r"unexpected end of input \(position 7\)"
+        with pytest.raises(NewickError, match=message) as err:
+            parse_newick("((1,2),")
+        assert err.value.position == 7
 
     def test_duplicate_label(self):
         with pytest.raises(NewickError, match="duplicate leaf label 2"):
