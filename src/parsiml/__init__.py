@@ -6,10 +6,10 @@ checks of the inequalities that tie the two objectives together.
 """
 
 from parsiml.characters import (Character, DataMatrix, MatrixFormatError,
-                                PaddedInstance, PaddingCapError,
-                                ReductionParams, complement, is_constant,
-                                pad_constant_sites, pad_with_count,
-                                parse_matrix, random_instance, write_matrix)
+                                PaddedInstance, PaddingCapError, complement,
+                                is_constant, pad_constant_sites,
+                                pad_with_count, parse_matrix, random_instance,
+                                write_matrix)
 from parsiml.likelihood import (EdgeProbs, char_likelihood_exhaustive,
                                 char_likelihood_pruning, modified_loglik,
                                 parse_probs, pattern_likelihoods,
@@ -30,9 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Character", "DataMatrix", "MatrixFormatError", "PaddedInstance",
-    "PaddingCapError", "ReductionParams", "complement", "is_constant",
-    "pad_constant_sites", "pad_with_count", "parse_matrix", "random_instance",
-    "write_matrix",
+    "PaddingCapError", "complement", "is_constant", "pad_constant_sites",
+    "pad_with_count", "parse_matrix", "random_instance", "write_matrix",
     "EdgeProbs", "char_likelihood_exhaustive", "char_likelihood_pruning",
     "modified_loglik", "parse_probs", "pattern_likelihoods",
     "pattern_log_likelihoods", "write_probs",

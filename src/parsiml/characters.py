@@ -1,11 +1,12 @@
 """Binary character data: pattern-compressed matrices and constant-site padding.
 
 A character assigns a state in {0,1} to each leaf; a data matrix stores the
-distinct site patterns together with their multiplicities, so k identical
-columns cost one pattern. Padding appends a large block of all-zero columns
-whose size is a power of the instance size, the transformation that couples
-the flip-count score to the optimal log-likelihood. One rule,
-:func:`_check_epsilon`, holds epsilon in (0, 1] for padding and verifiers.
+distinct site patterns together with their whole-number multiplicities, so k
+identical columns cost one pattern. Padding appends N_c all-zero columns, N_c
+a power of the instance size: the transformation that couples the flip-count
+score to the optimal log-likelihood. A padded instance is stored as its base,
+epsilon and N_c alone. One rule, :func:`_check_epsilon`, holds epsilon in
+(0, 1] for padding and verifiers.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +92,9 @@ class DataMatrix:
             _check_character(ch, self.n)
             if mult < 1:
                 raise ValueError(f"multiplicity {mult} < 1 for pattern {ch}")
+            if mult % 1:
+                raise ValueError(
+                    f"multiplicity {mult} is not a whole number for pattern {ch}")
             if prev is not None and ch <= prev:
                 raise ValueError("patterns must be sorted and distinct")
             prev = ch
@@ -106,13 +111,6 @@ class DataMatrix:
             ch = _check_character(col, n)
             counts[ch] = counts.get(ch, 0) + 1
         return cls(n, tuple(sorted(counts.items())))
-
-    def multiplicity(self, ch) -> int:
-        ch = tuple(int(s) for s in ch)
-        for pat, mult in self.patterns:
-            if pat == ch:
-                return mult
-        return 0
 
     def expanded_columns(self):
         """Yield every column with repeats, in pattern order."""
@@ -131,40 +129,38 @@ class DataMatrix:
 
 
 @dataclass(frozen=True)
-class ReductionParams:
-    """Padding parameters: epsilon, the size M = max(2n, k), and the number
-    of constant columns added. ``epsilon`` is None when the pad count was
-    fixed directly instead of derived from M."""
-
-    epsilon: float | None
-    size: int
-    pad_count: int
-
-
-@dataclass(frozen=True)
 class PaddedInstance:
-    """A base matrix together with its constant-site-padded version."""
+    """A base matrix X with N_c = ``pad_count`` all-zero columns appended.
+
+    It is its base, epsilon (None when N_c was given directly) and N_c; M
+    and the padded matrix derive from them, so nothing stored can disagree.
+    Refuses k + N_c past :data:`PAD_LIMIT` first (a float N_c as it stands),
+    then an N_c that is not a whole number >= 1."""
 
     base: DataMatrix
-    padded: DataMatrix
-    params: ReductionParams
+    epsilon: float | None
+    pad_count: int
 
     def __post_init__(self):
-        if self.padded.k != self.base.k + self.params.pad_count:
-            raise ValueError("padded column count must be base k plus the pad count")
-        zero = (0,) * self.base.n
-        if self.padded.multiplicity(zero) < self.params.pad_count:
-            raise ValueError("padded matrix is missing the constant-zero block")
+        if self.base.k + self.pad_count > PAD_LIMIT:
+            raise PaddingCapError(
+                f"padding needs {self.pad_count} constant sites (M={self.size}, "
+                f"epsilon={self.epsilon}): k + N_c is past 2^53, the "
+                f"float-exact limit", self.pad_count)
+        if not self.pad_count >= 1:
+            raise ValueError("pad_count must be >= 1")
+        if self.pad_count % 1:
+            raise ValueError(
+                f"pad_count must be a whole number, got {self.pad_count}")
+        object.__setattr__(self, "pad_count", int(self.pad_count))
 
+    @property
+    def size(self) -> int:
+        return max(2 * self.base.n, self.base.k)
 
-def _pad(base: DataMatrix, epsilon: float | None, pad_count) -> PaddedInstance:
-    size = max(2 * base.n, base.k)
-    if base.k + pad_count > PAD_LIMIT:
-        raise PaddingCapError(
-            f"padding needs {pad_count} constant sites (M={size}, epsilon="
-            f"{epsilon}): k + N_c is past 2^53, the float-exact limit", pad_count)
-    return PaddedInstance(base, base.with_extra((0,) * base.n, pad_count),
-                          ReductionParams(epsilon, size, pad_count))
+    @cached_property
+    def padded(self) -> DataMatrix:
+        return self.base.with_extra((0,) * self.base.n, self.pad_count)
 
 
 def pad_constant_sites(base: DataMatrix, epsilon: float) -> PaddedInstance:
@@ -182,7 +178,7 @@ def pad_constant_sites(base: DataMatrix, epsilon: float) -> PaddedInstance:
     log2_count = math.log2(size) / epsilon
     if log2_count > 54:  # refused on the float estimate, before big powers
         count = math.inf if log2_count >= 1024 else 2.0 ** log2_count
-        return _pad(base, epsilon, count)
+        return PaddedInstance(base, epsilon, count)
     count = math.ceil(size ** (1.0 / epsilon))
     p, q = Fraction(repr(epsilon)).as_integer_ratio()
     if p < 10_000:
@@ -191,7 +187,7 @@ def pad_constant_sites(base: DataMatrix, epsilon: float) -> PaddedInstance:
             count += 1
         while (count - 1) ** p >= target:
             count -= 1
-    return _pad(base, epsilon, count)
+    return PaddedInstance(base, epsilon, count)
 
 
 def pad_with_count(base: DataMatrix, pad_count: int) -> PaddedInstance:
@@ -200,9 +196,7 @@ def pad_with_count(base: DataMatrix, pad_count: int) -> PaddedInstance:
     Escape hatch for experiments that sweep the pad size directly; ``epsilon``
     is recorded as None since no power law produced the count.
     """
-    if pad_count < 1:
-        raise ValueError("pad_count must be >= 1")
-    return _pad(base, None, int(pad_count))
+    return PaddedInstance(base, None, pad_count)
 
 
 def random_instance(n: int, k: int, seed: int) -> DataMatrix:

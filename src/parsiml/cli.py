@@ -186,14 +186,13 @@ def _padded(base, args):
 def _cmd_pad(args) -> int:
     base = characters.parse_matrix(_read(args.matrix))
     padded = _padded(base, args)
-    params = padded.params
     text = characters.write_matrix(padded.padded, compressed=True)
-    header = (f"# padded: M={params.size} N_c={params.pad_count} "
-              f"epsilon={format_cell(params.epsilon)}")
+    header = (f"# padded: M={padded.size} N_c={padded.pad_count} "
+              f"epsilon={format_cell(padded.epsilon)}")
     _emit_payload(args, {"n": base.n, "k_base": base.k,
                          "k_padded": padded.padded.k,
-                         "epsilon": params.epsilon, "M": params.size,
-                         "N_c": params.pad_count, "matrix": text},
+                         "epsilon": padded.epsilon, "M": padded.size,
+                         "N_c": padded.pad_count, "matrix": text},
                   [header] + text.splitlines())
     return EXIT_OK
 

@@ -106,7 +106,7 @@ class ReductionQuantities:
 def quantities_for(tree: Tree, padded: PaddedInstance) -> ReductionQuantities:
     score = parsimony_score(tree, padded.base)
     return ReductionQuantities(score, len(tree.edges), padded.padded.k,
-                               padded.params.pad_count)
+                               padded.pad_count)
 
 
 def normalized_cost(tree: Tree, probs: EdgeProbs,
@@ -232,7 +232,7 @@ def _per_char_violations(tree: Tree, padded: PaddedInstance, vecs,
 
 def _epsilon(padded: PaddedInstance, epsilon: float | None) -> float:
     """``epsilon``, else the padding's; refused if unset or outside (0, 1]."""
-    epsilon = padded.params.epsilon if epsilon is None else epsilon
+    epsilon = padded.epsilon if epsilon is None else epsilon
     if epsilon is None:
         raise ValueError("epsilon is required (the padding carried none)")
     return _check_epsilon(epsilon)
@@ -249,7 +249,7 @@ def _report(check: str, padded: PaddedInstance, tree: Tree | None,
         instance += f" tree={canonical_newick(tree)}"
     return VerifierReport(
         check=check, instance=instance,
-        epsilon=epsilon, size=padded.params.size, pad_count=qty.pad_count,
+        epsilon=epsilon, size=padded.size, pad_count=qty.pad_count,
         q=qty.q, p_bar=qty.p_bar, **fields)
 
 
@@ -306,11 +306,11 @@ def verify_claim1(padded: PaddedInstance, tree: Tree,
         tree, padded, [[q] * len(tree.edges)],
         low=lambda flips: flips * math.log(q) - drop,
         high=lambda flips: math.inf)
-    preconditions = padded.params.size >= m_min
+    preconditions = padded.size >= m_min
     verdict, note = _grade(
         f"{per_char_bad} per-character lower-bound violations"
         if per_char_bad else "", lhs <= bound, preconditions,
-        f"bound failed but M={padded.params.size} < M_min={m_min}")
+        f"bound failed but M={padded.size} < M_min={m_min}")
     return _report(
         "claim1", padded, tree, qty, epsilon, lhs=lhs, bound=bound,
         direction="lhs<=bound", preconditions_met=preconditions,
@@ -332,7 +332,7 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
     """
     if trials < 1:
         raise ValueError(f"claim2 needs trials >= 1, got {trials}")
-    epsilon = padded.params.epsilon
+    epsilon = padded.epsilon
     qty = quantities_for(tree, padded)
     if qty.score == 0:
         return _degenerate_report("claim2", padded, tree, qty, epsilon)
@@ -360,12 +360,12 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
     costs = list(normalized_costs(tree, draws(), padded))
     worst = min(costs)
     violations = sum(cost <= qty.score for cost in costs)
+    verdict, note = _grade(f"{violations} trials at or below the score"
+                           if violations else "", True, True, "")
     return _report(
         "claim2", padded, tree, qty, epsilon, lhs=worst,
         bound=float(qty.score), direction="lhs>=bound", preconditions_met=True,
-        verdict="pass" if violations == 0 else "fail",
-        note="" if violations == 0 else f"{violations} trials at or below the score",
-        trials=trials, seed=seed,
+        verdict=verdict, note=note, trials=trials, seed=seed,
         details={"score": qty.score, "violations": violations,
                  "min_gap": worst - qty.score if math.isfinite(worst) else None})
 
@@ -394,9 +394,11 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 1000,
     p_bar = qty.p_bar
     below_threshold = p_bar < 1.0 / n_edges
     rng = np.random.default_rng(seed)
-    vectors = [[float(x) for x in rng.uniform(0.0, 0.5, n_edges)]
-               for _ in range(trials)]
-    vectors.append([qty.q] * n_edges)
+    # the trials are the rng's first draws: scored as drawn, never held
+    trial_min = min(normalized_costs(
+        tree, ([float(x) for x in rng.uniform(0.0, 0.5, n_edges)]
+               for _ in range(trials)), padded), default=math.inf)
+    vectors = [[qty.q] * n_edges]
     fit = optimize_edges(tree, padded.padded,
                          OptimizerConfig(restarts=2, seed=seed))
     vectors.append(fit.probs.vector(tree))
@@ -415,20 +417,20 @@ def verify_claim3(padded: PaddedInstance, tree: Tree, trials: int = 1000,
                                 + flips * math.log(n_edges * p_bar)))
         vectors.extend(probes)
 
-    lhs = min(normalized_costs(tree, vectors, padded))
+    lhs = min(trial_min, *normalized_costs(tree, vectors, padded))
     bound = (1.0 - 5.0 * epsilon) * qty.score
-    preconditions = below_threshold and padded.params.size >= m_min
+    preconditions = below_threshold and padded.size >= m_min
     verdict, note = _grade(
         f"{per_char_bad} per-character upper-bound violations"
         if per_char_bad else "", lhs >= bound, preconditions,
         f"bound failed with preconditions unmet "
-        f"(p_bar<1/E: {below_threshold}, M={padded.params.size}, "
+        f"(p_bar<1/E: {below_threshold}, M={padded.size}, "
         f"M_min={m_min})",
         pass_note="" if bound > 0 else "bound is non-positive at this epsilon")
     return _report(
         "claim3", padded, tree, qty, epsilon, lhs=lhs, bound=bound,
         direction="lhs>=bound", preconditions_met=preconditions,
-        verdict=verdict, note=note, trials=len(vectors), seed=seed,
+        verdict=verdict, note=note, trials=trials + len(vectors), seed=seed,
         details={"score": qty.score, "per_char_violations": per_char_bad,
                  "threshold_probes": below_threshold})
 
@@ -457,7 +459,7 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
     best_score, mp_optima = mp_search(base, cap=cap)
     padded = pad_constant_sites(base, epsilon)
     qty = ReductionQuantities(best_score, 2 * base.n - 3, padded.padded.k,
-                              padded.params.pad_count)
+                              padded.pad_count)
 
     ml_best, ml_ties = ml_search(padded.padded, config, cap=cap)
     lhs_opt = ml_best.value / qty.normalizer
@@ -477,7 +479,7 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
               for t in mp_optima)
     winner_score = parsimony_score(ml_best.tree, base)
     ratio_applies = epsilon < 0.2
-    size_ok = padded.params.size >= m_min
+    size_ok = padded.size >= m_min
     chain_ii_bound = ((1.0 + 2.0 * epsilon) / (1.0 - 5.0 * epsilon) * best_score
                       if ratio_applies else None)
     chain_ii_ok = (winner_score <= chain_ii_bound) if ratio_applies else None
@@ -485,7 +487,7 @@ def verify_prop1_chain(base: DataMatrix, epsilon: float,
         "" if lhs_opt <= rhs + CHAIN_TOL
         else "optimized cost exceeds the canonical-q cost of a flip optimum",
         not ratio_applies or chain_ii_ok, size_ok,
-        f"ratio bound failed but M={padded.params.size} < M_min={m_min}",
+        f"ratio bound failed but M={padded.size} < M_min={m_min}",
         pass_note="" if ratio_applies
         else "ratio not asserted at epsilon >= 0.2; measurements only",
         large_note="ratio bound failed on a large instance")

@@ -12,12 +12,15 @@ to leaf 1 (for two leaves, at leaf 1 itself) and children are sorted
 recursively by the smallest leaf in their subtree. Two trees describe the
 same topology exactly when their canonical Newick strings match.
 
-Every traversal is a postorder plan from one builder, :func:`_postorder`,
-which :meth:`Tree.rooted_plan` caches per anchor and ``parsimony.mp_search``
-runs on its partial trees, bare edge lists.
+Every traversal is a postorder plan from one builder, :func:`_postorder`, the
+only code that builds an adjacency: a :class:`Tree` stores its sorted edges
+and their degree count. :meth:`Tree.rooted_plan` caches plans per anchor and
+``parsimony.mp_search`` runs the builder on its partial trees, bare edge lists.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 Edge = tuple[int, int]
 
@@ -94,8 +97,7 @@ class Tree:
     (its anchor hangs off leaf 1), which refuses a cycle or a split graph.
     """
 
-    __slots__ = ("n", "edges", "vertices", "_adj", "_edge_index",
-                 "_canonical", "_plans")
+    __slots__ = ("n", "edges", "_degree", "_canonical", "_plans")
 
     def __init__(self, n: int, edges):
         self.n = int(n)
@@ -108,54 +110,38 @@ class Tree:
         for e, f in zip(self.edges, self.edges[1:]):
             if e == f:
                 raise ValueError(f"duplicate edge {e}")
-        # sorted edges list each vertex's neighbours in increasing order
-        adj: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        if min(adj) < 1:
-            raise ValueError(f"vertex id {min(adj)} is not positive")
-        self._adj = {v: tuple(ws) for v, ws in adj.items()}
-        self.vertices = frozenset(adj)
+        if self.edges[0][0] < 1:  # the least id opens the first sorted edge
+            raise ValueError(f"vertex id {self.edges[0][0]} is not positive")
+        self._degree = dict(Counter(v for edge in self.edges for v in edge))
         for v in range(1, self.n + 1):  # before the walk, anchored at leaf 1
-            degree = len(adj.get(v, ()))
+            degree = self._degree.get(v, 0)
             if degree != 1:
                 raise ValueError(f"leaf {v} has degree {degree}, expected 1")
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._canonical: str | None = None
         self._plans: dict = {}
         self.rooted_plan()  # refuses a cycle or a disconnected graph
-        for v, ws in self._adj.items():
-            if v > self.n and len(ws) < 3:
-                raise ValueError(f"internal degree-{len(ws)} vertex {v}: "
+        for v, degree in self._degree.items():
+            if v > self.n and degree < 3:
+                raise ValueError(f"internal degree-{degree} vertex {v}: "
                                  f"an internal vertex needs degree >= 3")
 
     # -- structure queries -------------------------------------------------
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(self._degree)
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def is_leaf(self, v: int) -> bool:
-        return v <= self.n
+        return self._degree[v]
 
     def internal_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in self.vertices if v > self.n))
-
-    def edge_index(self, u: int, v: int) -> int:
-        return self._edge_index[_normalize_edge(u, v)]
+        return tuple(sorted(v for v in self._degree if v > self.n))
 
     def canonical_root(self) -> int:
-        """Vertex anchoring the canonical orientation.
-
-        The vertex adjacent to leaf 1, except for the two-leaf tree, which
-        has no internal vertex and anchors at leaf 1.
-        """
-        if self.n == 2:
-            return 1
-        return self._adj[1][0]
+        """Vertex anchoring the canonical orientation: leaf 1's neighbour,
+        which ends the first sorted edge (leaf 1 is the least vertex), or
+        leaf 1 itself in the two-leaf tree, which has no internal vertex."""
+        return 1 if self.n == 2 else self.edges[0][1]
 
     def rooted_plan(self, anchor: int | None = None):
         """Postorder traversal rooted at ``anchor``.
@@ -201,7 +187,7 @@ def canonical_newick(tree: Tree) -> str:
     # (smallest leaf, text) per vertex along the plan: no recursion depth
     sub: dict[int, tuple[int, str]] = {}
     for v, children in tree.rooted_plan():
-        if tree.is_leaf(v):
+        if v <= tree.n:
             sub[v] = (v, str(v))
             continue
         parts = sorted(sub[c] for c, _ in children)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from parsiml import DataMatrix, Tree, parse_newick
@@ -123,13 +124,17 @@ def reference_rooted_plan(tree: Tree, anchor: int):
     The reference the shared traversal builder must reproduce exactly:
     vertex order, child order and edge indices.
     """
+    neighbors = {}
+    for u, v in tree.edges:
+        neighbors.setdefault(u, []).append(v)
+        neighbors.setdefault(v, []).append(u)
     parent = {anchor: None}
     preorder = []
     stack = [anchor]
     while stack:
         v = stack.pop()
         preorder.append(v)
-        for w in tree.neighbors(v):
+        for w in sorted(neighbors[v]):
             if w not in parent:
                 parent[w] = v
                 stack.append(w)
@@ -137,5 +142,47 @@ def reference_rooted_plan(tree: Tree, anchor: int):
     for v in preorder:
         p = parent[v]
         if p is not None:
-            children[p].append((v, tree.edge_index(p, v)))
+            children[p].append((v, tree.edges.index((min(p, v), max(p, v)))))
     return tuple((v, tuple(children[v])) for v in reversed(preorder))
+
+
+def fourier_pattern_values(tree: Tree, vec) -> np.ndarray:
+    """Every pattern's likelihood by Hadamard conjugation, a second oracle.
+
+    With theta_e = 1 - 2 p_e, f(chi) = 2^(1-n) times the sum over leaf sets
+    A of even size of (-1)^|chi & A| times the product of theta_e over the
+    edges e whose split parts A oddly (Hendy & Penny 1989; Szekely, Steel &
+    Erdos 1993). One Walsh-Hadamard transform gives all 2^n values, entry
+    sum(ch[i] << i) for pattern ch, so the order is ``all_characters``'.
+    It reads only the splits of ``tree.edges``: no plan, no DP. The signed
+    sum cancels for small f, so compare it where f is moderate.
+    """
+    n = tree.n
+    neighbors = {}
+    for u, v in tree.edges:
+        neighbors.setdefault(u, []).append(v)
+        neighbors.setdefault(v, []).append(u)
+    size = 1 << n
+    parity = np.zeros(size, dtype=np.uint8)
+    for bit in range(n):
+        parity[1 << bit:2 << bit] = parity[:1 << bit] ^ 1
+    masks = np.arange(size)
+    spectrum = (parity == 0).astype(float)  # A of odd size weighs nothing
+    for (u, v), p in zip(tree.edges, vec):
+        split, seen, stack = 0, {u, v}, [v]  # the leaves on v's side
+        while stack:
+            w = stack.pop()
+            if w <= n:
+                split |= 1 << (w - 1)
+            for x in neighbors[w]:
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        spectrum *= np.where(parity[masks & split], 1.0 - 2.0 * p, 1.0)
+    half = 1
+    while half < size:
+        pairs = spectrum.reshape(-1, 2, half)
+        pairs[:] = np.stack((pairs[:, 0] + pairs[:, 1],
+                             pairs[:, 0] - pairs[:, 1]), axis=1)
+        half *= 2
+    return spectrum * 2.0 ** (1 - n)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -8,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsiml import (DataMatrix, EdgeProbs, MatrixFormatError,
-                     PaddedInstance, PaddingCapError, ReductionParams,
-                     brute_force_score,
+                     PaddedInstance, PaddingCapError, brute_force_score,
                      char_likelihood_exhaustive, char_likelihood_pruning,
                      complement, fitch_score, is_constant, pad_constant_sites,
                      pad_with_count, parse_matrix, parse_newick,
@@ -81,8 +81,11 @@ class TestDataMatrix:
     @pytest.mark.parametrize("n,patterns,message", [
         (0, (((), 1),), "leaf count must be positive"),
         (2, (((0, 1), 0),), r"multiplicity 0 < 1 for pattern \(0, 1\)"),
+        (4, (((0, 0, 1, 1), 1.5), ((0, 1, 0, 1), 2)),
+         r"multiplicity 1.5 is not a whole number for pattern \(0, 0, 1, 1\)"),
         (2, (((1, 0), 1), ((0, 1), 1)), "patterns must be sorted and distinct"),
-    ], ids=["no-leaf", "zero-multiplicity", "unsorted"])
+    ], ids=["no-leaf", "zero-multiplicity", "fractional-multiplicity",
+            "unsorted"])
     def test_refused(self, n, patterns, message):
         with pytest.raises(ValueError, match=message):
             DataMatrix(n, patterns)
@@ -130,18 +133,18 @@ class TestPadding:
         cols = [tuple((i + j) % 2 for i in range(n)) for j in range(k)]
         base = DataMatrix.from_columns(n, cols)
         padded = pad_constant_sites(base, eps)
-        assert padded.params.size == size
-        assert padded.params.pad_count == pad
+        assert padded.size == size
+        assert padded.pad_count == pad
         assert padded.padded.k == k_padded
 
     def test_zero_block_present(self, quartet_matrix):
         padded = pad_constant_sites(quartet_matrix, 0.5)
-        assert padded.padded.multiplicity((0, 0, 0, 0)) == 64
+        assert dict(padded.padded.patterns)[(0, 0, 0, 0)] == 64
 
     def test_merges_existing_zero_pattern(self):
         base = DataMatrix.from_columns(4, [(0, 0, 0, 0), (0, 1, 0, 1)])
         padded = pad_constant_sites(base, 1.0)
-        assert padded.padded.multiplicity((0, 0, 0, 0)) == 1 + 8
+        assert dict(padded.padded.patterns)[(0, 0, 0, 0)] == 1 + 8
         assert padded.padded.k == base.k + 8
 
     def test_cap_refusal_reports_size(self, quartet_matrix):
@@ -170,7 +173,7 @@ class TestPadding:
                     with pytest.raises(PaddingCapError):
                         pad_constant_sites(base, eps)
                 else:
-                    got = pad_constant_sites(base, eps).params.pad_count
+                    got = pad_constant_sites(base, eps).pad_count
                     assert got == expected, (size, eps)
 
     @pytest.mark.parametrize("size,eps,pad", [
@@ -183,7 +186,7 @@ class TestPadding:
     ])
     def test_pinned_pad_counts(self, size, eps, pad):
         base = DataMatrix(1, (((0,), 1), ((1,), size - 1)))
-        assert pad_constant_sites(base, eps).params.pad_count == pad
+        assert pad_constant_sites(base, eps).pad_count == pad
 
     def test_inexact_epsilon_keeps_float_estimate(self):
         # 1/3 reads as p/q with p ~ 10^16: no exact powers, answer at once
@@ -191,7 +194,7 @@ class TestPadding:
         started = time.monotonic()
         padded = pad_constant_sites(base, 1 / 3)
         assert time.monotonic() - started < 1.0
-        assert padded.params.pad_count == math.ceil(40 ** (1 / (1 / 3)))
+        assert padded.pad_count == math.ceil(40 ** (1 / (1 / 3)))
 
     def test_explicit_count_limit(self, quartet_matrix):
         padded = pad_with_count(quartet_matrix, PAD_LIMIT - quartet_matrix.k)
@@ -205,24 +208,41 @@ class TestPadding:
             with pytest.raises(ValueError):
                 pad_constant_sites(quartet_matrix, bad)
 
-    def test_padded_instance_refuses_an_inconsistent_pad(self,
-                                                         quartet_matrix):
-        padded = pad_with_count(quartet_matrix, 10).padded
-        with pytest.raises(ValueError, match="base k plus the pad count"):
-            PaddedInstance(quartet_matrix, padded,
-                           ReductionParams(None, 8, 11))
-        ones = quartet_matrix.with_extra((1, 1, 1, 1), 10)
-        with pytest.raises(ValueError, match="missing the constant-zero block"):
-            PaddedInstance(quartet_matrix, ones, ReductionParams(None, 8, 10))
+    def test_padded_instance_is_its_base_epsilon_and_count(self,
+                                                           quartet_matrix):
+        zero = (0, 0, 0, 0)
+        padded = PaddedInstance(quartet_matrix, 0.5, 64)
+        assert [f.name for f in dataclasses.fields(padded)] == [
+            "base", "epsilon", "pad_count"]
+        assert padded.padded == quartet_matrix.with_extra(zero, 64)
+        assert padded.size == max(2 * quartet_matrix.n, quartet_matrix.k)
+        assert padded == pad_constant_sites(quartet_matrix, 0.5)
+        # the limit binds an instance built directly, not only the pad paths
+        with pytest.raises(PaddingCapError) as err:
+            PaddedInstance(quartet_matrix, None, 2 ** 53)
+        assert err.value.pad_count == 2 ** 53
 
     def test_explicit_count_must_be_positive(self, quartet_matrix):
         with pytest.raises(ValueError, match="pad_count must be >= 1"):
             pad_with_count(quartet_matrix, 0)
 
+    @pytest.mark.parametrize("count,error,message", [
+        (2.9, ValueError, "pad_count must be a whole number, got 2.9"),
+        (math.nan, ValueError, "pad_count must be >= 1"),
+        (math.inf, PaddingCapError, "past 2\\^53"),
+    ], ids=["fraction", "nan", "inf"])
+    def test_explicit_count_must_be_whole(self, quartet_matrix, count, error,
+                                          message):
+        # refused rather than truncated, so the pad is the one asked for
+        with pytest.raises(error, match=message):
+            pad_with_count(quartet_matrix, count)
+        # a whole float is the same count, stored as an int
+        assert type(pad_with_count(quartet_matrix, 3.0).pad_count) is int
+
     def test_explicit_count(self, quartet_matrix):
         padded = pad_with_count(quartet_matrix, 100)
-        assert padded.params.pad_count == 100
-        assert padded.params.epsilon is None
+        assert padded.pad_count == 100
+        assert padded.epsilon is None
         assert padded.padded.k == 102
 
     @given(st.integers(3, 6), st.integers(1, 10),
@@ -234,8 +254,8 @@ class TestPadding:
             padded = pad_constant_sites(base, eps)
         except PaddingCapError:
             return
-        assert padded.params.pad_count >= padded.params.size
-        assert padded.params.size == max(2 * n, k)
+        assert padded.pad_count >= padded.size
+        assert padded.size == max(2 * n, k)
 
 
 class TestMatrixIO:

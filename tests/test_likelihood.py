@@ -16,7 +16,8 @@ from parsiml.likelihood import (CHUNK, _log_pattern_value, cost,
                                 pattern_values)
 from parsiml.trees import parse_newick
 
-from conftest import (all_characters, caterpillar, exact_cost, random_tree,
+from conftest import (all_characters, caterpillar, exact_cost,
+                      fourier_pattern_values, random_tree,
                       scalar_pattern_value)
 
 
@@ -397,6 +398,29 @@ class TestModelFacts:
                 assert value <= ceiling + 1e-12
 
 
+class TestFourierOracle:
+    @pytest.mark.parametrize("n", [4, 7, 12, 16])
+    def test_dp_matches_hadamard_conjugation(self, n):
+        # the DP against a closed form sharing only the tree's splits: every
+        # pattern for n <= 12, a seeded sample of 2000 at n = 16
+        tree = random_tree(n, seed=n)
+        rng = np.random.default_rng(n)
+        vec = rng.uniform(0.0, 0.5, len(tree.edges))
+        oracle = fourier_pattern_values(tree, vec)
+        assert oracle.sum() == pytest.approx(2.0, rel=1e-14)
+        if n <= 12:
+            chars = list(all_characters(n))
+        else:
+            chars = [tuple(map(int, row))
+                     for row in rng.integers(0, 2, size=(2000, n))]
+        index = [sum(s << i for i, s in enumerate(ch)) for ch in chars]
+        dp = np.array(pattern_likelihoods(
+            tree, EdgeProbs.from_vector(tree, vec), chars))
+        # uniform vectors keep f moderate, where the signed sum is accurate
+        assert dp.min() > 1e-7
+        np.testing.assert_allclose(oracle[index], dp, rtol=1e-13, atol=0.0)
+
+
 class TestProbsSidecar:
     def test_round_trip(self, quartet):
         probs = EdgeProbs.from_vector(quartet, [0.0, 0.125, 0.25, 0.375, 0.5])
@@ -430,11 +454,15 @@ class TestProbsSidecar:
 
 
 def _path_edges(tree, u, v):
+    neighbors = {}
+    for a, b in tree.edges:
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
     parent = {u: None}
     stack = [u]
     while stack:
         w = stack.pop()
-        for x in tree.neighbors(w):
+        for x in neighbors[w]:
             if x not in parent:
                 parent[x] = w
                 stack.append(x)

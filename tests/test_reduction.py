@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ class TestClaim2:
         qty = quantities_for(quartet, quartet_padded)
         for background in (0.0, 0.01):
             vec = [background] * 5
-            vec[quartet.edge_index(5, 6)] = qty.p_bar * (1 + 1e-6)
+            vec[quartet.edges.index((5, 6))] = qty.p_bar * (1 + 1e-6)
             cost = normalized_cost(quartet,
                                    EdgeProbs.from_vector(quartet, vec),
                                    quartet_padded)
@@ -173,6 +174,21 @@ class TestClaim3:
         assert report.lhs < report.bound
         assert (report.verdict, report.note) == \
             ("fail", "bound failed on a large instance")
+
+    def test_memory_stays_flat_as_trials_grow(self):
+        # trial vectors are scored as they are drawn, never held in a list
+        tree = caterpillar(8)
+        padded = pad_constant_sites(random_instance(8, 8, 0), 0.5)
+        peaks = {}
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                report = verify_claim3(padded, tree, trials=trials, seed=0)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.trials == trials + 2
+        assert peaks[20_000] <= 2 * peaks[2_000], peaks
 
     def test_negative_trials_refused(self, quartet, quartet_padded):
         with pytest.raises(ValueError, match="trials"):

@@ -175,6 +175,14 @@ class TestRootedPlan:
             assert tree.rooted_plan(anchor) == \
                 reference_rooted_plan(tree, anchor)
 
+    def test_canonical_root_is_leaf_one_neighbour(self):
+        trees = [t for n in range(3, 8) for t in enumerate_topologies(n)]
+        trees.append(parse_newick("((2,1,5),(3,4,6,7));"))
+        for tree in trees:
+            (leaf1_edge,) = [e for e in tree.edges if 1 in e]
+            assert tree.canonical_root() == leaf1_edge[1]
+        assert parse_newick("(1,2);").canonical_root() == 1
+
     @pytest.mark.parametrize("call", [
         lambda t, a: t.rooted_plan(a),
         lambda t, a: pattern_likelihoods(t, EdgeProbs.uniform(t, 0.1),
