@@ -6,14 +6,13 @@ checks of the inequalities that tie the two objectives together.
 """
 
 from parsiml.characters import (Character, DataMatrix, MatrixFormatError,
-                                PaddedInstance, PaddingCapError, complement,
-                                is_constant, pad_constant_sites,
-                                pad_with_count, parse_matrix, random_instance,
-                                write_matrix)
+                                PaddedInstance, PaddingCapError, is_constant,
+                                pad_constant_sites, pad_with_count,
+                                parse_matrix, random_instance, write_matrix)
 from parsiml.likelihood import (EdgeProbs, char_likelihood_exhaustive,
                                 char_likelihood_pruning, modified_loglik,
                                 parse_probs, pattern_likelihoods,
-                                pattern_log_likelihoods, write_probs)
+                                write_probs)
 from parsiml.mlopt import (MLResult, OptimizerConfig, golden_section_minimize,
                            grid_minimum, ml_search, optimize_edges)
 from parsiml.parsimony import (brute_force_score, fitch_score, mp_search,
@@ -23,18 +22,17 @@ from parsiml.reduction import (ReductionQuantities, VerifierReport,
                                verify_claim1, verify_claim2, verify_claim3,
                                verify_prop1_chain)
 from parsiml.trees import (NewickError, TopologyCapError, Tree,
-                           canonical_newick, enumerate_topologies, is_binary,
+                           canonical_newick, enumerate_topologies,
                            parse_newick, topology_count)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Character", "DataMatrix", "MatrixFormatError", "PaddedInstance",
-    "PaddingCapError", "complement", "is_constant", "pad_constant_sites",
+    "PaddingCapError", "is_constant", "pad_constant_sites",
     "pad_with_count", "parse_matrix", "random_instance", "write_matrix",
     "EdgeProbs", "char_likelihood_exhaustive", "char_likelihood_pruning",
-    "modified_loglik", "parse_probs", "pattern_likelihoods",
-    "pattern_log_likelihoods", "write_probs",
+    "modified_loglik", "parse_probs", "pattern_likelihoods", "write_probs",
     "MLResult", "OptimizerConfig", "golden_section_minimize", "grid_minimum",
     "ml_search", "optimize_edges",
     "brute_force_score", "fitch_score", "mp_search", "parsimony_score",
@@ -42,6 +40,6 @@ __all__ = [
     "quantities_for", "verify_claim1", "verify_claim2", "verify_claim3",
     "verify_prop1_chain",
     "NewickError", "TopologyCapError", "Tree", "canonical_newick",
-    "enumerate_topologies", "is_binary", "parse_newick", "topology_count",
+    "enumerate_topologies", "parse_newick", "topology_count",
     "__version__",
 ]

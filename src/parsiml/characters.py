@@ -48,11 +48,6 @@ def is_constant(ch: Character) -> bool:
     return all(s == first for s in ch)
 
 
-def complement(ch: Character) -> Character:
-    """Flip every state; an involution."""
-    return tuple(1 - s for s in ch)
-
-
 def _check_character(ch, n: int) -> Character:
     """The one character check: n states, each 0 or 1, as a tuple of ints."""
     ch = tuple(map(int, ch))

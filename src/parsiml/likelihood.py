@@ -258,13 +258,6 @@ def _pattern_logs(tree: Tree, vecs, states):
                        for f, ch in zip(values, states)]
 
 
-def pattern_log_likelihoods(tree: Tree, probs: EdgeProbs,
-                            patterns) -> list[float]:
-    """ln f of each pattern; -inf only for one some p_e = 0 rules out."""
-    patterns = [_check_character(ch, tree.n) for ch in patterns]
-    return next(_pattern_logs(tree, [probs.vector(tree)], patterns))
-
-
 def modified_loglik(tree: Tree, probs: EdgeProbs, data: DataMatrix) -> float:
     """Dataset cost: -sum of N_chi * ln f_chi, always >= 0, +inf allowed.
 

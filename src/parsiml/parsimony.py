@@ -7,7 +7,8 @@ bit j of a Python int standing for pattern j; the brute-force path
 enumerates every internal assignment and is kept as an independent oracle.
 Both take their characters through ``characters._check_character``, and
 complete and partial trees alike are walked along plans from
-``trees._postorder``.
+``trees._postorder``; the branch and bound plans only the partial trees it
+extends, and scores every child from its parent's plan.
 """
 
 from __future__ import annotations
@@ -17,6 +18,16 @@ from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, _postorder,
                            canonical_newick, enumerate_topologies)
 
 BRUTE_FORCE_CAP = 24
+
+
+def _join(a, b, full: int):
+    """The two-child set rule on every pattern at once: intersect, else
+    union. Returns the joined (zeros, ones) sets and the mask of the
+    patterns that pay a flip."""
+    both0 = a[0] & b[0]
+    both1 = a[1] & b[1]
+    miss = full & ~(both0 | both1)
+    return (both0 | miss, both1 | miss), miss
 
 
 class _PatternMasks:
@@ -47,11 +58,51 @@ class _PatternMasks:
             if mask:
                 self.slices.append((b, mask))
 
+    def weight(self, mask: int) -> int:
+        """Summed multiplicity of the patterns in ``mask``."""
+        return sum((mask & s).bit_count() << b for b, s in self.slices)
+
     def score(self, plan) -> int:
         """Weighted flip score of a tree along a postorder ``plan``."""
-        misses = self.misses(plan)
-        return sum(sum((m & s).bit_count() for m in misses) << b
-                   for b, s in self.slices)
+        return sum(map(self.weight, self.misses(plan)))
+
+    def insertion_costs(self, plan, edges, leaf: int) -> dict:
+        """What hanging ``leaf`` on each edge of a binary tree adds to its
+        score, keyed by the edge as ``edges`` spells it.
+
+        ``plan`` is the tree's postorder from an internal vertex (three
+        children; every other internal vertex has two). One pass down gives
+        each vertex c the Fitch set D_c of its subtree, one pass up the set
+        A_c of the rest of the tree seen from c's parent p. Inserting the
+        leaf on (p, c) costs one flip for each pattern whose leaf state is
+        outside S = D_c & A_c, or D_c | A_c where they are disjoint: the
+        new vertex joins D_c, A_c and the leaf, and pays a flip beyond the
+        old score exactly when the leaf's state is not in S.
+        """
+        full = self.full
+        down = {}
+        for v, children in plan[:-1]:
+            if children:
+                (c, _), (d, _) = children
+                down[v] = _join(down[c], down[d], full)[0]
+            else:
+                down[v] = (self.zeros[v], self.ones[v])
+        a, b, c = (w for w, _ in plan[-1][1])
+        up = {a: _join(down[b], down[c], full)[0],
+              b: _join(down[a], down[c], full)[0],
+              c: _join(down[a], down[b], full)[0]}
+        for v, children in reversed(plan[:-1]):
+            if children:
+                (c, _), (d, _) = children
+                up[c] = _join(down[d], up[v], full)[0]
+                up[d] = _join(down[c], up[v], full)[0]
+        zeros, ones = self.zeros[leaf], self.ones[leaf]
+        costs = {}
+        for _, children in plan:
+            for c, i in children:
+                s0, s1 = _join(down[c], up[c], full)[0]
+                costs[edges[i]] = self.weight((zeros & ~s0) | (ones & ~s1))
+        return costs
 
     def misses(self, plan) -> list[int]:
         """Masks of the patterns paying a flip, one mask per flip paid.
@@ -75,13 +126,8 @@ class _PatternMasks:
                 s0, s1 = sets[v] = (zeros[v], ones[v])
                 misses.extend((s0 & ~k0) | (s1 & ~k1) for k0, k1 in kids)
             elif len(kids) == 2:
-                # the majority rule on two children: intersect, else union
-                (a0, a1), (b0, b1) = kids
-                both0 = a0 & b0
-                both1 = a1 & b1
-                miss = full & ~(both0 | both1)
+                sets[v], miss = _join(*kids, full)
                 misses.append(miss)
-                sets[v] = (both0 | miss, both1 | miss)
             else:
                 # at_s[t]: the patterns where at least t children hold s
                 at0 = [full]
@@ -161,21 +207,40 @@ def mp_search(data: DataMatrix,
     (Hendy & Penny 1982). Adding a leaf never lowers the flip score, so a
     partial tree on leaves 1..m scoring above the best complete tree so far
     has no optimal completion and is cut; one that ties is kept, so every
-    optimum is found. Returns the best score and every tree attaining it
-    (scores are exact integers, so ties are exact), in canonical order.
+    optimum is found. Only the 3-leaf star is scored from scratch: a kept
+    partial tree gets one down/up pass that prices the next leaf on each of
+    its edges, and each child's score is its parent's plus that price.
+    Returns the best score and every tree attaining it (scores are exact
+    integers, so ties are exact), in canonical order.
     """
-    masks = _PatternMasks(data.n, data.patterns)
-    root = data.n + 1  # the first internal vertex: in every partial tree
+    n = data.n
+    masks = _PatternMasks(n, data.patterns)
+    root = n + 1  # the first internal vertex: in every partial tree
     best = None
     scored = 0
+    # per leaf count m < n: the score of the last partial tree on 1..m to
+    # survive, and what inserting leaf m+1 on each of its edges adds
+    parents: dict[int, tuple[int, dict]] = {}
 
     def bound(edges) -> bool:
         nonlocal scored
-        scored = masks.score(_postorder(edges, root))
-        return best is not None and scored > best
+        m = (len(edges) + 3) // 2
+        if m == 3:  # the star every tree grows from
+            scored = masks.score(_postorder(edges, root))
+        else:
+            # the grower's tail (u,w),(w,v),(w,m) subdivided the parent's
+            # edge (u,v): a child is scored from its parent, with no plan
+            parent, costs = parents[m - 1]
+            scored = parent + costs[edges[-3][0], edges[-2][1]]
+        if best is not None and scored > best:
+            return True
+        if m < n:
+            parents[m] = scored, masks.insertion_costs(
+                _postorder(edges, root), edges, m + 1)
+        return False
 
     optima: list[Tree] = []
-    for tree in enumerate_topologies(data.n, cap, prune=bound):
+    for tree in enumerate_topologies(n, cap, prune=bound):
         # ``scored`` is the score of this complete tree: the generator
         # bounds each tree right before it yields it
         if best is None or scored < best:

@@ -357,9 +357,10 @@ def verify_claim2(padded: PaddedInstance, tree: Tree, trials: int = 1000,
                                 + (0.5 - p_bar) * (1.0 - float(rng.random())))
             yield vec
 
-    costs = list(normalized_costs(tree, draws(), padded))
-    worst = min(costs)
-    violations = sum(cost <= qty.score for cost in costs)
+    worst, violations = math.inf, 0
+    for cost in normalized_costs(tree, draws(), padded):  # never held
+        worst = min(worst, cost)
+        violations += cost <= qty.score
     verdict, note = _grade(f"{violations} trials at or below the score"
                            if violations else "", True, True, "")
     return _report(

@@ -15,7 +15,8 @@ same topology exactly when their canonical Newick strings match.
 Every traversal is a postorder plan from one builder, :func:`_postorder`, the
 only code that builds an adjacency: a :class:`Tree` stores its sorted edges
 and their degree count. :meth:`Tree.rooted_plan` caches plans per anchor and
-``parsimony.mp_search`` runs the builder on its partial trees, bare edge lists.
+``parsimony.mp_search`` runs the builder on the partial trees it keeps, bare
+edge lists.
 """
 
 from __future__ import annotations
@@ -172,11 +173,6 @@ class Tree:
         return f"Tree({canonical_newick(self)!r})"
 
 
-def is_binary(tree: Tree) -> bool:
-    """True when every internal vertex has degree exactly 3."""
-    return all(tree.degree(v) == 3 for v in tree.internal_vertices())
-
-
 def canonical_newick(tree: Tree) -> str:
     """Serialize in canonical form (see the module docstring)."""
     if tree._canonical is not None:
@@ -292,7 +288,11 @@ def enumerate_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP,
     ``prune``, when given, is called with the edge list of every tree on
     the way, partial (leaves 1..m, internal vertices n+1..n+m-2) or
     complete, before it is extended or yielded; a true return skips that
-    tree and every tree grown from it.
+    tree and every tree grown from it. The lists grow in depth-first
+    order, and every list after the first, the star on leaves 1..3 around
+    n+1, ends with the tail (u, w), (w, v), (w, m): leaf m hangs from the
+    new vertex w on the parent's edge (u, v), spelled as the parent spells
+    it. The parent is the last tree on 1..m-1 that was not skipped.
     """
     if n < 3:
         raise ValueError("topology enumeration needs n >= 3")

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from parsiml import DataMatrix, Tree, parse_newick
+from parsiml.characters import _check_character
+from parsiml.likelihood import _pattern_logs
 
 
 @pytest.fixture
@@ -34,6 +36,23 @@ def caterpillar(n: int) -> Tree:
         edges.append((idx + 2, internal[idx]))
     edges.append((internal[-1], n))
     return Tree(n, edges)
+
+
+def complement(ch):
+    """Flip every state; both scores are invariant under it."""
+    return tuple(1 - s for s in ch)
+
+
+def is_binary(tree: Tree) -> bool:
+    """True when every internal vertex has degree exactly 3."""
+    return all(tree.degree(v) == 3 for v in tree.internal_vertices())
+
+
+def pattern_log_likelihoods(tree: Tree, probs, patterns) -> list[float]:
+    """ln f of each pattern at one edge vector, through the library's one
+    path to ln f; -inf only for a pattern some p_e = 0 rules out."""
+    patterns = [_check_character(ch, tree.n) for ch in patterns]
+    return next(_pattern_logs(tree, [probs.vector(tree)], patterns))
 
 
 def all_characters(n: int):

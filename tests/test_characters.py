@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from parsiml import (DataMatrix, EdgeProbs, MatrixFormatError,
                      PaddedInstance, PaddingCapError, brute_force_score,
                      char_likelihood_exhaustive, char_likelihood_pruning,
-                     complement, fitch_score, is_constant, pad_constant_sites,
+                     fitch_score, is_constant, pad_constant_sites,
                      pad_with_count, parse_matrix, parse_newick,
-                     pattern_likelihoods, pattern_log_likelihoods,
-                     random_instance, write_matrix)
+                     pattern_likelihoods, random_instance, write_matrix)
 from parsiml.characters import PAD_LIMIT
 from parsiml.parsimony import pattern_scores
+
+from conftest import complement, pattern_log_likelihoods
 
 characters = st.integers(1, 8).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple))

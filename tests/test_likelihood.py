@@ -7,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsiml import (DataMatrix, EdgeProbs, char_likelihood_exhaustive,
-                     char_likelihood_pruning, complement,
-                     enumerate_topologies, fitch_score, is_constant,
-                     modified_loglik, pad_constant_sites, parse_probs,
-                     pattern_likelihoods, random_instance, write_probs)
+                     char_likelihood_pruning, enumerate_topologies,
+                     fitch_score, is_constant, modified_loglik,
+                     pad_constant_sites, parse_probs, pattern_likelihoods,
+                     random_instance, write_probs)
 from parsiml.likelihood import (CHUNK, _log_pattern_value, cost,
-                                modified_logliks, pattern_log_likelihoods,
-                                pattern_values)
+                                modified_logliks, pattern_values)
 from parsiml.trees import parse_newick
 
-from conftest import (all_characters, caterpillar, exact_cost,
-                      fourier_pattern_values, random_tree,
-                      scalar_pattern_value)
+from conftest import (all_characters, caterpillar, complement, exact_cost,
+                      fourier_pattern_values, pattern_log_likelihoods,
+                      random_tree, scalar_pattern_value)
 
 
 def random_probs(tree, rng):

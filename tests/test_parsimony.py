@@ -3,13 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parsiml import (DataMatrix, brute_force_score, canonical_newick,
-                     complement, enumerate_topologies, fitch_score,
-                     is_constant, mp_search, pad_constant_sites,
-                     pad_with_count, parse_newick, parsimony_score,
-                     random_instance)
-from parsiml.parsimony import pattern_scores
+                     enumerate_topologies, fitch_score, is_constant,
+                     mp_search, pad_constant_sites, pad_with_count,
+                     parse_newick, parsimony_score, random_instance)
+from parsiml import parsimony
+from parsiml.parsimony import _PatternMasks, pattern_scores
+from parsiml.trees import Tree, _postorder
 
-from conftest import all_characters, caterpillar, random_tree
+from conftest import all_characters, caterpillar, complement, random_tree
 
 
 class TestFitch:
@@ -116,6 +117,57 @@ class TestMatrixScoreOracle:
                 self.brute_total(tree, heavy)
 
 
+def grown_trees(n):
+    """Every edge list the grower hands its bound on the way to n leaves."""
+    seen = []
+    for _ in enumerate_topologies(n, prune=lambda edges: seen.append(edges)):
+        pass
+    return seen
+
+
+class TestInsertionCost:
+    """A child's score as its parent's plus the price of the new leaf on
+    the subdivided edge, against a full Fitch pass over the child."""
+
+    @staticmethod
+    def matrix(n, kind, seed):
+        if kind == "random":
+            return random_instance(n, 12, seed)
+        if kind == "heavy":  # multiplicities 2^52 + odd: every bit slice
+            return DataMatrix(n, tuple(
+                (ch, 2 ** 52 + 2 * i + 1)
+                for i, (ch, _) in enumerate(random_instance(n, 12, seed)
+                                            .patterns)))
+        return DataMatrix.from_columns(n, [(0,) * n] * (seed + 1)
+                                       + [(1,) * n] * 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["random", "heavy", "constant"])
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_parent_plus_cost_is_child_score(self, n, kind, seed):
+        data = self.matrix(n, kind, seed)
+        masks = _PatternMasks(n, data.patterns)
+        parents = {}
+        priced = children = 0
+        for edges in grown_trees(n):
+            m = (len(edges) + 3) // 2
+            score = masks.score(_postorder(edges, n + 1))
+            if m > 3:
+                # the tail (u,w),(w,v),(w,m) names the subdivided edge (u,v)
+                parent, costs = parents[m - 1]
+                assert parent + costs[edges[-3][0], edges[-2][1]] == score
+                children += 1
+            if m < n:
+                costs = masks.insertion_costs(_postorder(edges, n + 1),
+                                              edges, m + 1)
+                assert set(costs) == set(edges)
+                parents[m] = score, costs
+                priced += len(costs)
+            else:
+                assert score == parsimony_score(Tree(n, edges), data)
+        assert children == priced  # every edge of every partial tree
+
+
 class TestPatternScores:
     """Every pattern's flip count from one pass, against brute force."""
 
@@ -206,6 +258,32 @@ class TestSearch:
         assert score == best
         # Tree equality is edge equality: same edges and internal ids
         assert optima == expected
+
+    def test_plans_only_kept_partial_trees(self, monkeypatch):
+        # one plan per partial tree that survives the bound, plus one to
+        # score the 3-leaf star; a complete tree is scored from its parent
+        data = random_instance(8, 64, 3)
+        expected = mp_search(data)
+        planned, kept = [], []
+        postorder, grower = parsimony._postorder, parsimony.enumerate_topologies
+
+        def count_plans(edges, anchor):
+            planned.append(len(edges))
+            return postorder(edges, anchor)
+
+        def count_kept(n, cap, prune):
+            def spy(edges):
+                cut = prune(edges)
+                if not cut and len(edges) < 2 * n - 3:
+                    kept.append(len(edges))
+                return cut
+            return grower(n, cap, prune=spy)
+
+        monkeypatch.setattr(parsimony, "_postorder", count_plans)
+        monkeypatch.setattr(parsimony, "enumerate_topologies", count_kept)
+        assert mp_search(data) == expected
+        assert kept and len(planned) <= len(kept) + 1
+        assert max(planned) < 2 * 8 - 3
 
     def test_cap_respected(self):
         m = DataMatrix.from_columns(9, [tuple([0, 1] * 4 + [0])])

@@ -140,6 +140,21 @@ class TestClaim2:
         b = verify_claim2(quartet_padded, quartet, trials=50, seed=5)
         assert a.lhs == b.lhs
 
+    def test_memory_stays_flat_as_trials_grow(self):
+        # trial costs are folded as they are drawn, never held in a list
+        tree = caterpillar(8)
+        padded = pad_constant_sites(random_instance(8, 8, 0), 0.5)
+        peaks = {}
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                report = verify_claim2(padded, tree, trials=trials, seed=0)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.trials == trials
+        assert peaks[20_000] <= 2 * peaks[2_000], peaks
+
 
 class TestClaim3:
     def test_quartet_trivial_bound(self, quartet, quartet_padded):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from parsiml import (EdgeProbs, NewickError, TopologyCapError, Tree,
                      brute_force_score, canonical_newick,
                      char_likelihood_exhaustive, char_likelihood_pruning,
-                     enumerate_topologies, fitch_score, is_binary,
-                     parse_newick, pattern_likelihoods, topology_count)
+                     enumerate_topologies, fitch_score, parse_newick,
+                     pattern_likelihoods, topology_count)
 
-from conftest import (all_characters, caterpillar, random_tree,
+from conftest import (all_characters, caterpillar, is_binary, random_tree,
                       reference_rooted_plan)
 
 
