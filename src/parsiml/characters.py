@@ -20,7 +20,7 @@ import numpy as np
 
 Character = tuple[int, ...]
 
-# Largest k + N_c: past 2^53, neighbouring counts round to one float weight.
+# Largest k + N_c or multiplicity: past 2^53, neighbouring counts round alike.
 PAD_LIMIT = 2 ** 53
 
 
@@ -90,6 +90,9 @@ class DataMatrix:
             if mult % 1:
                 raise ValueError(
                     f"multiplicity {mult} is not a whole number for pattern {ch}")
+            if mult > PAD_LIMIT:
+                raise ValueError(f"multiplicity {mult} is past 2^53, the "
+                                 f"float-exact limit, for pattern {ch}")
             if prev is not None and ch <= prev:
                 raise ValueError("patterns must be sorted and distinct")
             prev = ch

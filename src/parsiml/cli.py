@@ -1,6 +1,7 @@
 """Command-line surface: scoring, searching, padding, verifying, generating.
 
-All randomness flows from --seed (default 0) and no timestamp reaches the
+A run reads its command line and input files alone, never the environment;
+all randomness flows from --seed (default 0) and no timestamp reaches the
 output unless --timing is given, so identical invocations produce identical
 bytes. Exit codes: 0 success or verifier pass, 1 usage or input error,
 2 verifier fail, 3 verifier inconclusive.
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import os
 import time
 
 from parsiml import characters, likelihood, mlopt, parsimony, reduction, trees
@@ -38,16 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"environment variable {name}={raw!r} is not an integer")
-
-
 def _given(args, *names) -> dict:
     """The given options among ``names``; the library owns the defaults."""
     return {name: getattr(args, name) for name in names
@@ -68,7 +58,8 @@ def build_parser() -> _Parser:
                         help="write output to FILE instead of stdout")
     common.add_argument("--seed", type=int, default=supp,
                         help="seed for all randomness (default 0)")
-    common.add_argument("--n-max", type=int, default=supp,
+    common.add_argument("--n-max", type=int, dest="cap", metavar="N_MAX",
+                        default=supp,
                         help="leaf cap for exhaustive enumeration")
     common.add_argument("--m-min", type=int, default=supp,
                         help="instance size below which failed size-conditioned "
@@ -117,7 +108,6 @@ def build_parser() -> _Parser:
     search_ml = subcommand("search-ml", help="exhaustive likelihood search")
     search_ml.add_argument("--matrix", required=True)
     search_ml.add_argument("--restarts", type=int)
-    search_ml.add_argument("--tol", type=float)
 
     enum = subcommand("enumerate", help="list all binary topologies")
     enum.add_argument("--n", type=int, required=True)
@@ -220,7 +210,7 @@ def _cmd_score_ml(args) -> int:
 
 def _cmd_search_mp(args) -> int:
     matrix = characters.parse_matrix(_read(args.matrix))
-    score, optima = parsimony.mp_search(matrix, cap=args.n_max)
+    score, optima = parsimony.mp_search(matrix, **_given(args, "cap"))
     newicks = [trees.canonical_newick(t) for t in optima]
     _emit_payload(args, {"score": score, "optima": newicks,
                          "count": len(newicks)},
@@ -230,9 +220,8 @@ def _cmd_search_mp(args) -> int:
 
 def _cmd_search_ml(args) -> int:
     matrix = characters.parse_matrix(_read(args.matrix))
-    config = mlopt.OptimizerConfig(seed=args.seed,
-                                   **_given(args, "restarts", "tol"))
-    best, ties = mlopt.ml_search(matrix, config, cap=args.n_max)
+    config = mlopt.OptimizerConfig(seed=args.seed, **_given(args, "restarts"))
+    best, ties = mlopt.ml_search(matrix, config, **_given(args, "cap"))
     probs_lines = likelihood.write_probs(best.tree, best.probs).splitlines()
     payload = {"cost": best.value, "tree": trees.canonical_newick(best.tree),
                "converged": best.converged, "sweeps": best.sweeps,
@@ -247,7 +236,7 @@ def _cmd_search_ml(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     found = [trees.canonical_newick(t)
-             for t in trees.enumerate_topologies(args.n, cap=args.n_max)]
+             for t in trees.enumerate_topologies(args.n, **_given(args, "cap"))]
     _emit_payload(args, {"n": args.n, "count": len(found),
                          "topologies": found}, found)
     return EXIT_OK
@@ -270,7 +259,7 @@ def _prop1(args, matrix):
         raise UsageError("verify prop1 requires --epsilon")
     config = mlopt.OptimizerConfig(seed=args.seed, **_given(args, "restarts"))
     return reduction.verify_prop1_chain(
-        matrix, args.epsilon, config, m_min=args.m_min, cap=args.n_max)
+        matrix, args.epsilon, config, **_given(args, "m_min", "cap"))
 
 
 # Per check: the verify options it reads and the call it makes. The library
@@ -327,11 +316,14 @@ def run(argv=None) -> int:
                 and flag.split("=")[0] not in parser._option_string_actions):
             parser.error(f"unrecognized arguments: {flag} {value}")
     parsed = vars(parser.parse_args(argv))
-    try:  # the shared flags' defaults under what was parsed (see build_parser)
-        args = argparse.Namespace(**dict(
-            format="text", out=None, seed=0, timing=False,
-            n_max=_env_int("PARSIML_N_MAX", trees.DEFAULT_TOPOLOGY_CAP),
-            m_min=_env_int("PARSIML_M_MIN", reduction.DEFAULT_M_MIN)) | parsed)
+    # the shared flags' defaults under what was parsed (see build_parser);
+    # None leaves --n-max and --m-min to the library's defaults
+    args = argparse.Namespace(**dict(format="text", out=None, seed=0,
+                                     timing=False, cap=None, m_min=None)
+                              | parsed)
+    try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"parsiml: error: {exc}", file=sys.stderr)

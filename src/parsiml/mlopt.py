@@ -39,6 +39,8 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Golden-section bracket width at which a 1-D edge solve stops.
 SCALAR_TOL = 1e-12
+# A start stops once a full sweep improves its cost by less than this.
+TOL = 1e-10
 # Coordinate-descent sweeps per start before a fit reports non-convergence.
 MAX_SWEEPS = 500
 # Absolute cost difference under which two topologies count as tied.
@@ -49,21 +51,15 @@ TIE_TOL = 1e-8
 class OptimizerConfig:
     """Knobs for the fixed-tree optimizer and the topology search.
 
-    ``tol`` stops sweeping once a full sweep improves the cost by less;
     ``restarts`` counts starting points (the flip-fraction uniform start and
     uniform 0.1 first, then seeded random vectors); ``seed`` seeds the
     random starts.
     """
 
-    tol: float = 1e-10
     restarts: int = 5
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        if not self.tol > 0:  # also refuses NaN
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.tol == math.inf:  # one sweep could never fall below it
-            raise ValueError(f"tol must be finite, got {self.tol}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
@@ -111,13 +107,13 @@ def golden_section_minimize(f, lo: float, hi: float) -> tuple[float, float]:
     return best_x, best_f
 
 
-def _coordinate_descent(tree: Tree, data: DataMatrix, starts, start_values,
-                        config: OptimizerConfig) -> list[tuple]:
+def _coordinate_descent(tree: Tree, data: DataMatrix, starts,
+                        start_values) -> list[tuple]:
     """Coordinate descent from every start in lockstep.
 
     Returns (vector, value, converged, sweeps) per start, each exactly what
     that start reaches alone: the starts share only the DP passes. A start
-    leaves the batch once a sweep improves it by less than ``tol``.
+    leaves the batch once a sweep improves it by less than ``TOL``.
     """
     plan = tree.rooted_plan()
     states = np.array([ch for ch, _ in data.patterns])
@@ -143,7 +139,7 @@ def _coordinate_descent(tree: Tree, data: DataMatrix, starts, start_values,
         resynced = modified_logliks(tree, [run[0] for run in active], data)
         for run, value, old in zip(active, resynced, before):
             run[1] = value
-            if old - value < config.tol:
+            if old - value < TOL:
                 run[2:] = True, sweep
         active = [run for run in active if not run[2]]
         if not active:
@@ -206,7 +202,7 @@ def optimize_edges(tree: Tree, data: DataMatrix,
     starts = _starting_points(tree, data, config)
     start_values = tuple(modified_logliks(tree, starts, data))
     best = None
-    for run in _coordinate_descent(tree, data, starts, start_values, config):
+    for run in _coordinate_descent(tree, data, starts, start_values):
         if best is None or run[1] < best[1]:
             best = run
     vec, val, converged, sweeps = best

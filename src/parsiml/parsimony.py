@@ -70,14 +70,14 @@ class _PatternMasks:
         """What hanging ``leaf`` on each edge of a binary tree adds to its
         score, keyed by the edge as ``edges`` spells it.
 
-        ``plan`` is the tree's postorder from an internal vertex (three
-        children; every other internal vertex has two). One pass down gives
-        each vertex c the Fitch set D_c of its subtree, one pass up the set
-        A_c of the rest of the tree seen from c's parent p. Inserting the
-        leaf on (p, c) costs one flip for each pattern whose leaf state is
-        outside S = D_c & A_c, or D_c | A_c where they are disjoint: the
-        new vertex joins D_c, A_c and the leaf, and pays a flip beyond the
-        old score exactly when the leaf's state is not in S.
+        ``plan`` is the tree's postorder from leaf 1, so every internal
+        vertex has two children. One pass down gives each vertex c the Fitch
+        set D_c of its subtree, one pass up the set A_c of the rest of the
+        tree seen from c's parent p. Inserting the leaf on (p, c) costs one
+        flip for each pattern whose leaf state is outside S = D_c & A_c, or
+        D_c | A_c where they are disjoint: the new vertex joins D_c, A_c and
+        the leaf, and pays a flip beyond the old score exactly when the
+        leaf's state is not in S.
         """
         full = self.full
         down = {}
@@ -87,10 +87,8 @@ class _PatternMasks:
                 down[v] = _join(down[c], down[d], full)[0]
             else:
                 down[v] = (self.zeros[v], self.ones[v])
-        a, b, c = (w for w, _ in plan[-1][1])
-        up = {a: _join(down[b], down[c], full)[0],
-              b: _join(down[a], down[c], full)[0],
-              c: _join(down[a], down[b], full)[0]}
+        (top, _), = plan[-1][1]
+        up = {top: (self.zeros[1], self.ones[1])}
         for v, children in reversed(plan[:-1]):
             if children:
                 (c, _), (d, _) = children
@@ -215,7 +213,6 @@ def mp_search(data: DataMatrix,
     """
     n = data.n
     masks = _PatternMasks(n, data.patterns)
-    root = n + 1  # the first internal vertex: in every partial tree
     best = None
     scored = 0
     # per leaf count m < n: the score of the last partial tree on 1..m to
@@ -226,7 +223,7 @@ def mp_search(data: DataMatrix,
         nonlocal scored
         m = (len(edges) + 3) // 2
         if m == 3:  # the star every tree grows from
-            scored = masks.score(_postorder(edges, root))
+            scored = masks.score(_postorder(edges, 1))
         else:
             # the grower's tail (u,w),(w,v),(w,m) subdivided the parent's
             # edge (u,v): a child is scored from its parent, with no plan
@@ -236,7 +233,7 @@ def mp_search(data: DataMatrix,
             return True
         if m < n:
             parents[m] = scored, masks.insertion_costs(
-                _postorder(edges, root), edges, m + 1)
+                _postorder(edges, 1), edges, m + 1)
         return False
 
     optima: list[Tree] = []

@@ -7,7 +7,8 @@ name or parameter would fail them at run time. Everything is read from the
 files' source with ``ast``, without importing anything from ``bench/``.
 The package also keeps no dead import, apart from the names the tracer
 swaps in the importing module, which must stay bound there, and imports no
-threading module: it runs in its caller's thread. Only the CLI imports
+threading module: it runs in its caller's thread. No module imports ``os``:
+a run reads its arguments, never the environment. Only the CLI imports
 ``time``: it alone reads a clock. Every refusal is a ValueError or the
 CLI's UsageError, so it reaches ``cli.run``'s one-line handler.
 """
@@ -150,6 +151,11 @@ def test_one_thread(path):
     imported = top_level_imports(path)
     assert not imported & threaded, \
         f"{path.name} imports {sorted(imported & threaded)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment(path):
+    assert "os" not in top_level_imports(path), f"{path.name} imports os"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

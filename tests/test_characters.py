@@ -85,11 +85,18 @@ class TestDataMatrix:
         (4, (((0, 0, 1, 1), 1.5), ((0, 1, 0, 1), 2)),
          r"multiplicity 1.5 is not a whole number for pattern \(0, 0, 1, 1\)"),
         (2, (((1, 0), 1), ((0, 1), 1)), "patterns must be sorted and distinct"),
+        (2, (((0, 1), 2 ** 53 + 1),),
+         r"multiplicity 9007199254740993 is past 2\^53"),
     ], ids=["no-leaf", "zero-multiplicity", "fractional-multiplicity",
-            "unsorted"])
+            "unsorted", "multiplicity-past-float-limit"])
     def test_refused(self, n, patterns, message):
         with pytest.raises(ValueError, match=message):
             DataMatrix(n, patterns)
+
+    def test_multiplicity_at_float_limit_accepted(self):
+        # 2^53 is the last count a float weight holds apart from its neighbours
+        m = DataMatrix(2, (((0, 1), 2 ** 53),))
+        assert m.k == 2 ** 53
 
     def test_expanded_columns_preserve_k(self):
         m = DataMatrix.from_columns(3, [(0, 0, 1)] * 5 + [(1, 0, 1)])

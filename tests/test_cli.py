@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 
@@ -20,14 +19,10 @@ MATRIX = "4 2\n1 00\n2 01\n3 10\n4 11\n"
 CONSTANT = "4 2\n1 00\n2 00\n3 00\n4 00\n"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     """Run the CLI in this process, as ``python -m parsiml.cli`` would."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.ExitStack() as stack:
-        if env is not None:
-            stack.enter_context(mock.patch.dict(os.environ, env, clear=True))
-        stack.enter_context(contextlib.redirect_stdout(out))
-        stack.enter_context(contextlib.redirect_stderr(err))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = run(list(args))
         except SystemExit as exc:  # argparse's usage errors and --help
@@ -117,9 +112,7 @@ class TestSearch:
         for key in lists:
             assert json.loads(row[head.index(key)]) == payload[key]
 
-    @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "nan"),
-                                            ("--tol", "inf"),
-                                            ("--restarts", "0"),
+    @pytest.mark.parametrize("flag,value", [("--restarts", "0"),
                                             ("--restarts", "-2")])
     def test_bad_optimizer_settings_refused(self, workdir, flag, value):
         proc = run_cli("search-ml", "--matrix", str(workdir / "x.mat"),
@@ -128,6 +121,15 @@ class TestSearch:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1
         assert flag.lstrip("-") in proc.stderr
+
+    def test_tol_flag_refused(self, workdir):
+        # the fit's stopping rule is the library's constant mlopt.TOL
+        proc = run_cli("search-ml", "--matrix", str(workdir / "x.mat"),
+                       "--tol", "1e-8")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == \
+            "parsiml: error: unrecognized arguments: --tol 1e-8"
 
 
 class TestGeneratePad:
@@ -205,37 +207,30 @@ class TestEnumerate:
         assert proc.returncode == 1
         assert "cap" in proc.stderr
 
-    @pytest.mark.parametrize("name", ["PARSIML_N_MAX", "PARSIML_M_MIN"])
-    def test_malformed_env_is_one_line_error(self, name):
-        # run as a module in its own process: no traceback reaches stderr
-        env = dict(os.environ, **{name: "abc"})
-        proc = run_module("enumerate", "--n", "4", env=env)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr == \
-            f"parsiml: error: environment variable {name}='abc' is not an integer\n"
-
-    def test_env_override(self, tmp_path):
-        # a 9-leaf search is past the default cap; PARSIML_N_MAX=9 lifts it
+    def test_n_max_lifts_the_cap(self, tmp_path):
+        # a 9-leaf search is past the library's default cap; --n-max 9 lifts it
         (tmp_path / "x.mat").write_text(
             run_cli("gen", "--n", "9", "--k", "4", "--seed", "0").stdout)
         argv = ["search-mp", "--matrix", str(tmp_path / "x.mat")]
         capped = run_cli(*argv)
         assert capped.returncode == 1
         assert "cap" in capped.stderr
-        proc = run_cli(*argv, env=dict(os.environ, PARSIML_N_MAX="9"))
+        proc = run_cli("--n-max", "9", *argv)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("score = ")
 
-    def test_env_m_min_override(self, workdir):
-        # M = 8 at --nc 8: the failed bound is inconclusive below M_min = 32,
-        # a failure once PARSIML_M_MIN=1; an explicit --m-min still wins
+    def test_environment_changes_nothing(self, workdir):
+        # M = 8 at --nc 8: inconclusive below the default M_min = 32; no
+        # environment variable can lower M_min or raise the cap
         argv = ["verify", "claim1", "--matrix", str(workdir / "x.mat"),
                 "--tree", str(workdir / "t.nwk"), "--epsilon", "0.05",
                 "--nc", "8"]
-        env = dict(os.environ, PARSIML_M_MIN="1")
-        assert run_cli(*argv, env=env).returncode == 2
-        assert run_cli("--m-min", "32", *argv, env=env).returncode == 3
+        plain = run_module(*argv)
+        env = dict(os.environ, PARSIML_M_MIN="1", PARSIML_N_MAX="9")
+        overridden = run_module(*argv, env=env)
+        assert plain.returncode == 3, plain.stderr
+        assert (overridden.returncode, overridden.stdout, overridden.stderr) \
+            == (plain.returncode, plain.stdout, plain.stderr)
 
 
 class TestVerify:
@@ -478,6 +473,34 @@ class TestErrorPaths:
         assert proc.stderr.count("usage:") == 1
         assert proc.stderr.splitlines()[-1] == \
             f"parsiml: error: unrecognized arguments: {named}"
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "4", "--k", "2"],
+        ["search-ml", "--matrix", "x.mat"],
+        ["verify", "claim2", "--matrix", "x.mat", "--tree", "t.nwk",
+         "--epsilon", "0.5"],
+        ["verify", "prop1", "--matrix", "x.mat", "--epsilon", "0.5"],
+    ], ids=["gen", "search-ml", "claim2", "prop1"])
+    def test_negative_seed_named(self, workdir, argv):
+        argv = [str(workdir / a) if a in ("x.mat", "t.nwk") else a
+                for a in argv]
+        proc = run_cli("--seed", "-1", *argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "parsiml: error: --seed must be >= 0, got -1\n"
+
+    def test_multiplicity_past_float_limit(self, workdir):
+        (workdir / "p.probs").write_text(
+            "1 5 0.1\n2 5 0.1\n3 6 0.1\n4 6 0.1\n5 6 0.1\n")
+        (workdir / "big.mat").write_text(
+            f"4 {2 ** 53 + 1}\ncounts {2 ** 53 + 1}\n1 0\n2 0\n3 1\n4 1\n")
+        proc = run_cli("score-ml", "--tree", str(workdir / "t.nwk"),
+                       "--matrix", str(workdir / "big.mat"),
+                       "--probs", str(workdir / "p.probs"))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "2^53" in proc.stderr
 
     def test_missing_file(self, workdir):
         proc = run_cli("score-mp", "--tree", str(workdir / "nope.nwk"),

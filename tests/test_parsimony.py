@@ -151,15 +151,15 @@ class TestInsertionCost:
         priced = children = 0
         for edges in grown_trees(n):
             m = (len(edges) + 3) // 2
-            score = masks.score(_postorder(edges, n + 1))
+            score = masks.score(_postorder(edges, 1))
             if m > 3:
                 # the tail (u,w),(w,v),(w,m) names the subdivided edge (u,v)
                 parent, costs = parents[m - 1]
                 assert parent + costs[edges[-3][0], edges[-2][1]] == score
                 children += 1
             if m < n:
-                costs = masks.insertion_costs(_postorder(edges, n + 1),
-                                              edges, m + 1)
+                costs = masks.insertion_costs(_postorder(edges, 1), edges,
+                                              m + 1)
                 assert set(costs) == set(edges)
                 parents[m] = score, costs
                 priced += len(costs)
