@@ -13,8 +13,7 @@ from parsiml.likelihood import (EdgeProbs, char_likelihood_exhaustive,
                                 char_likelihood_pruning, modified_loglik,
                                 parse_probs, pattern_likelihoods,
                                 write_probs)
-from parsiml.mlopt import (MLResult, OptimizerConfig, golden_section_minimize,
-                           grid_minimum, ml_search, optimize_edges)
+from parsiml.mlopt import MLResult, OptimizerConfig, ml_search, optimize_edges
 from parsiml.parsimony import (brute_force_score, fitch_score, mp_search,
                                parsimony_score)
 from parsiml.reduction import (ReductionQuantities, VerifierReport,
@@ -33,8 +32,7 @@ __all__ = [
     "pad_with_count", "parse_matrix", "random_instance", "write_matrix",
     "EdgeProbs", "char_likelihood_exhaustive", "char_likelihood_pruning",
     "modified_loglik", "parse_probs", "pattern_likelihoods", "write_probs",
-    "MLResult", "OptimizerConfig", "golden_section_minimize", "grid_minimum",
-    "ml_search", "optimize_edges",
+    "MLResult", "OptimizerConfig", "ml_search", "optimize_edges",
     "brute_force_score", "fitch_score", "mp_search", "parsimony_score",
     "ReductionQuantities", "VerifierReport", "normalized_cost",
     "quantities_for", "verify_claim1", "verify_claim2", "verify_claim3",

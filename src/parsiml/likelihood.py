@@ -22,7 +22,9 @@ pattern at once with numpy, in the scalar recursion's operation order, so
 batching changes no bit of any value. Its values become ln f in one place
 (:func:`_pattern_logs`), underflow rescue included, and the dataset cost is
 one left-to-right sum over those logs: its summation order is part of every
-reported number.
+reported number. That sum, in :func:`modified_logliks`, is the one
+-sum w ln f loop in the package beside the edge optimizer's 1-D solve
+(``mlopt._edge_solve``), which scores blends of two profiles.
 """
 
 from __future__ import annotations
@@ -112,14 +114,17 @@ def pattern_values(plan, vecs, states) -> np.ndarray:
         if not children:
             down[v] = (leaf0[v - 1], leaf1[v - 1])
             continue
-        like0 = like1 = 1.0
+        like = None
         for c, ei in children:
             c0, c1 = down.pop(c)
             p = vecs[:, ei, None]
             stay = 1.0 - p
-            like0 = like0 * (stay * c0 + p * c1)
-            like1 = like1 * (p * c0 + stay * c1)
-        down[v] = (like0, like1)
+            pair = (stay * c0 + p * c1, p * c0 + stay * c1)
+            # the first child starts the product: the recursion's 1.0 * y
+            # is y exactly
+            like = pair if like is None else (like[0] * pair[0],
+                                              like[1] * pair[1])
+        down[v] = like
     like0, like1 = down[root]
     if root <= ones.shape[1]:
         return np.where(ones[:, root - 1], like1, like0)
@@ -178,26 +183,6 @@ def pattern_likelihoods(tree: Tree, probs: EdgeProbs, patterns,
     patterns = [_check_character(ch, tree.n) for ch in patterns]
     plan = tree.rooted_plan(anchor)
     return pattern_values(plan, [probs.vector(tree)], patterns)[0].tolist()
-
-
-def cost(weights, at0, at1, x: float) -> float:
-    """-sum of w * ln((1-x) f0 + x f1) over aligned weights and values.
-
-    The edge optimizer's 1-D objective, given the pattern values at p_e = 0
-    and p_e = 1 and a trial x. It sums as :func:`modified_logliks` does, so
-    at x = 0, with no value below the normal range, the two agree bit for
-    bit. Any zero blended value makes the cost +inf.
-    """
-    stay = 1.0 - x
-    total = 0.0
-    for w, f0, f1 in zip(weights, at0, at1):
-        f = stay * f0 + x * f1
-        if f <= 0.0:
-            return math.inf
-        total -= w * math.log(f)
-    # roundoff guard: each value is <= 1 exactly, so the true total is
-    # non-negative
-    return total if total > 0.0 else 0.0
 
 
 def _log_add(a: float, b: float) -> float:

@@ -3,33 +3,33 @@
 The fixed-tree problem is solved by coordinate descent. Along one edge the
 pattern likelihood is affine in that edge's probability (every extension
 term carries the factor p or 1-p exactly once), so each coordinate step
-profiles the pattern values at p=0 and p=1 and then runs a golden-section
-search on the cheap 1-D restriction. The starts of a fit run in lockstep,
-one batched DP pass per edge for all of them, each taking exactly the steps
-it takes alone. The fit calls the likelihood kernels directly: costs come
-from ``modified_logliks`` and the per-edge profiles from ``pattern_values``.
-The 1-D search stays scalar: roundoff in it could reorder topologies tied
-within ``TIE_TOL``, and so change the reported winner.
+profiles the pattern values at p=0 and p=1 and then runs one fused 1-D
+solve, :func:`_edge_solve`: a golden section that scores the blended cost
+-sum w ln((1-x) f0 + x f1) itself, with no call per term or per point into
+the likelihood module. The starts of a fit run in lockstep, one batched DP
+pass per edge for all of them, each taking exactly the steps it takes
+alone. Costs come from ``modified_logliks`` and the per-edge profiles from
+``pattern_values``. The 1-D solve stays scalar Python with ``math.log``:
+``np.log`` rounds differently, and any roundoff change could reorder
+topologies tied within ``TIE_TOL``, and so change the reported winner.
 
 Coordinate descent only guarantees a coordinate-wise optimum. That caveat is
 the whole point of the problem this package studies, so it is surfaced, not
-hidden: searches run from several starting points, and a grid sweep with
-two refinement rounds (final step 1/512, :func:`grid_minimum`) serves as an
-oracle on small instances. Exhaustive topology search runs in the calling
-thread (``ml_search``'s ``n_jobs`` is inert) and is meant for desk-scale n;
-a fit reads every setting, seed included, from its frozen config alone.
+hidden: searches run from several starting points. Exhaustive topology
+search runs in the calling thread (``ml_search``'s ``n_jobs`` is inert) and
+is meant for desk-scale n; a fit reads every setting, seed included, from
+its frozen config alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from parsiml.characters import DataMatrix
-from parsiml.likelihood import (CHUNK, EdgeProbs, cost, modified_logliks,
+from parsiml.likelihood import (CHUNK, EdgeProbs, modified_logliks,
                                 pattern_values)
 from parsiml.parsimony import parsimony_score
 from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, canonical_newick,
@@ -74,34 +74,64 @@ class MLResult:
     start_values: tuple[float, ...] = field(default=(), repr=False)
 
 
-def golden_section_minimize(f, lo: float, hi: float) -> tuple[float, float]:
-    """Minimize a unimodal-ish scalar on [lo, hi] without derivatives.
+def _edge_solve(weights, at0, at1) -> tuple[float, float]:
+    """Minimize -sum w ln((1-x) f0 + x f1) over x in [0, 1/2].
 
-    The endpoints are evaluated explicitly so boundary minima come out
-    exact (p = 0 and p = 1/2 matter here), and the returned point is the
-    best ever evaluated, not the midpoint of the final bracket.
+    The 1-D restriction of the cost along one edge, given each pattern's
+    value at p_e = 0 (``at0``) and p_e = 1 (``at1``), by golden section.
+    The endpoints 0 and 1/2 are scored too, so boundary minima come out
+    exact, and the best point ever scored is returned, not the midpoint of
+    the final bracket. Each point's cost sums the zipped terms left to
+    right through ``math.log``: the same operations as the reference the
+    tests hold it to, so a fit's bits, and with them which of the
+    topologies tied within ``TIE_TOL`` wins, do not move. The sum is
+    written out at both of its sites, not called: a call per point cost
+    prop1-n5 about 7% of its throughput.
     """
-    a, b = float(lo), float(hi)
-    span = b - a
-    x1 = b - _INV_GOLDEN * span
-    x2 = a + _INV_GOLDEN * span
-    f1, f2 = f(x1), f(x2)
+    terms = tuple(zip(weights, at0, at1))
+    log = math.log
+    a, b = 0.0, 0.5
+    x1 = b - _INV_GOLDEN * (b - a)
+    x2 = a + _INV_GOLDEN * (b - a)
+    scored = []
+    for x in (x1, x2, a, b):
+        stay = 1.0 - x
+        total = 0.0
+        try:
+            for w, v0, v1 in terms:
+                total -= w * log(stay * v0 + x * v1)
+        except ValueError:  # ln 0: the blend rules a pattern out
+            total = math.inf
+        # roundoff guard: each value is <= 1 exactly, so the true total is
+        # non-negative
+        scored.append(total if total > 0.0 else 0.0)
+    f1, f2, f_lo, f_hi = scored
     best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
     while b - a > SCALAR_TOL:
-        if f1 <= f2:
+        left = f1 <= f2
+        if left:
             b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
+            x = b - _INV_GOLDEN * (b - a)
         else:
             a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
-    for x in (lo, hi):
-        fx = f(x)
+            x = a + _INV_GOLDEN * (b - a)
+        stay = 1.0 - x
+        total = 0.0
+        try:
+            for w, v0, v1 in terms:
+                total -= w * log(stay * v0 + x * v1)
+        except ValueError:
+            total = math.inf
+        fx = total if total > 0.0 else 0.0
+        if left:
+            x1, f1 = x, fx
+        else:
+            x2, f2 = x, fx
+        # only the new point can lower the best: the kept one was compared
+        # when it was new
+        if fx < best_f:
+            best_x, best_f = x, fx
+    for x, fx in ((0.0, f_lo), (0.5, f_hi)):
         if fx < best_f:
             best_x, best_f = x, fx
     return best_x, best_f
@@ -125,14 +155,14 @@ def _coordinate_descent(tree: Tree, data: DataMatrix, starts,
         before = [run[1] for run in active]
         for i in range(len(tree.edges)):
             # each vector with p_i = 0 and with p_i = 1: the pattern values
-            # at any p_i are their affine blend, scored by ``cost``
-            rows = np.repeat(np.asarray([run[0] for run in active]), 2, axis=0)
-            rows[:, i] = np.tile([0.0, 1.0], len(active))
+            # at any p_i are their affine blend, which ``_edge_solve`` scores
+            rows = np.array([run[0] for run in active for _ in (0, 1)])
+            rows[0::2, i] = 0.0
+            rows[1::2, i] = 1.0
             values = [row for k in range(0, len(rows), CHUNK) for row in
                       pattern_values(plan, rows[k:k + CHUNK], states).tolist()]
             for run, at0, at1 in zip(active, values[0::2], values[1::2]):
-                x, fx = golden_section_minimize(
-                    lambda t: cost(weights, at0, at1, t), 0.0, 0.5)
+                x, fx = _edge_solve(weights, at0, at1)
                 if fx < run[1]:
                     run[0][i], run[1] = x, fx
         # resync against 1-D roundoff drift
@@ -157,38 +187,6 @@ def _starting_points(tree: Tree, data: DataMatrix,
     while len(starts) < config.restarts:
         starts.append([float(x) for x in rng.uniform(0.0, 0.5, n_edges)])
     return starts[:config.restarts]
-
-
-def grid_minimum(tree: Tree, data: DataMatrix):
-    """Best cost on a product grid over [0, 1/2]^edges, then refined.
-
-    Steps 1/8, then 1/64 and 1/512 on a box of one old step around the
-    incumbent. Exponential in the edge count; meant for at most five edges.
-    """
-    n_edges = len(tree.edges)
-
-    def sweep(axes):
-        best_vec, best_val = None, math.inf
-        points = list(itertools.product(*axes))
-        for point, val in zip(points, modified_logliks(tree, points, data)):
-            if val < best_val:
-                best_vec, best_val = list(point), val
-        return best_vec, best_val
-
-    def axis(center: float, half_width: float, step: float) -> list[float]:
-        lo = max(0.0, center - half_width)
-        hi = min(0.5, center + half_width)
-        count = int(round((hi - lo) / step))
-        return [lo + j * step for j in range(count + 1)]
-
-    step = 0.125
-    best_vec, best_val = sweep([axis(0.25, 0.25, step)] * n_edges)
-    for _ in range(2):
-        new_step = step / 8
-        axes = [axis(best_vec[i], step / 2.0, new_step) for i in range(n_edges)]
-        best_vec, best_val = sweep(axes)
-        step = new_step
-    return best_vec, best_val
 
 
 def optimize_edges(tree: Tree, data: DataMatrix,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,8 @@ import pytest
 
 from parsiml import DataMatrix, Tree, parse_newick
 from parsiml.characters import _check_character
-from parsiml.likelihood import _pattern_logs
+from parsiml.likelihood import _pattern_logs, modified_logliks
+from parsiml.mlopt import _INV_GOLDEN, SCALAR_TOL
 
 
 @pytest.fixture
@@ -205,3 +207,97 @@ def fourier_pattern_values(tree: Tree, vec) -> np.ndarray:
                              pairs[:, 0] - pairs[:, 1]), axis=1)
         half *= 2
     return spectrum * 2.0 ** (1 - n)
+
+
+def cost(weights, at0, at1, x: float) -> float:
+    """-sum of w * ln((1-x) f0 + x f1) over aligned weights and values.
+
+    The edge optimizer's 1-D objective, given the pattern values at p_e = 0
+    and p_e = 1 and a trial x. It sums as :func:`modified_logliks` does, so
+    at x = 0, with no value below the normal range, the two agree bit for
+    bit. Any zero blended value makes the cost +inf. With
+    :func:`golden_section_minimize` it is the reference
+    ``mlopt._edge_solve`` must match bit for bit.
+    """
+    stay = 1.0 - x
+    total = 0.0
+    for w, f0, f1 in zip(weights, at0, at1):
+        f = stay * f0 + x * f1
+        if f <= 0.0:
+            return math.inf
+        total -= w * math.log(f)
+    # roundoff guard: each value is <= 1 exactly, so the true total is
+    # non-negative
+    return total if total > 0.0 else 0.0
+
+
+def golden_section_minimize(f, lo: float, hi: float) -> tuple[float, float]:
+    """Minimize a unimodal-ish scalar on [lo, hi] without derivatives.
+
+    The endpoints are evaluated explicitly so boundary minima come out
+    exact (p = 0 and p = 1/2 matter here), and the returned point is the
+    best ever evaluated, not the midpoint of the final bracket.
+    """
+    a, b = float(lo), float(hi)
+    span = b - a
+    x1 = b - _INV_GOLDEN * span
+    x2 = a + _INV_GOLDEN * span
+    f1, f2 = f(x1), f(x2)
+    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
+    while b - a > SCALAR_TOL:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_GOLDEN * (b - a)
+            f2 = f(x2)
+        if f1 < best_f:
+            best_x, best_f = x1, f1
+        if f2 < best_f:
+            best_x, best_f = x2, f2
+    for x in (lo, hi):
+        fx = f(x)
+        if fx < best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
+
+
+def reference_edge_solve(weights, at0, at1) -> tuple[float, float]:
+    """The 1-D edge solve as the reference computes it."""
+    return golden_section_minimize(lambda t: cost(weights, at0, at1, t),
+                                   0.0, 0.5)
+
+
+def grid_minimum(tree: Tree, data: DataMatrix):
+    """Best cost on a product grid over [0, 1/2]^edges, then refined.
+
+    Steps 1/8, then 1/64 and 1/512 on a box of one old step around the
+    incumbent. Exponential in the edge count; meant for at most five edges.
+    The optimizer's oracle on small instances.
+    """
+    n_edges = len(tree.edges)
+
+    def sweep(axes):
+        best_vec, best_val = None, math.inf
+        points = list(itertools.product(*axes))
+        for point, val in zip(points, modified_logliks(tree, points, data)):
+            if val < best_val:
+                best_vec, best_val = list(point), val
+        return best_vec, best_val
+
+    def axis(center: float, half_width: float, step: float) -> list[float]:
+        lo = max(0.0, center - half_width)
+        hi = min(0.5, center + half_width)
+        count = int(round((hi - lo) / step))
+        return [lo + j * step for j in range(count + 1)]
+
+    step = 0.125
+    best_vec, best_val = sweep([axis(0.25, 0.25, step)] * n_edges)
+    for _ in range(2):
+        new_step = step / 8
+        axes = [axis(best_vec[i], step / 2.0, new_step) for i in range(n_edges)]
+        best_vec, best_val = sweep(axes)
+        step = new_step
+    return best_vec, best_val

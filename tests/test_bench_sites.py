@@ -10,7 +10,9 @@ swaps in the importing module, which must stay bound there, and imports no
 threading module: it runs in its caller's thread. No module imports ``os``:
 a run reads its arguments, never the environment. Only the CLI imports
 ``time``: it alone reads a clock. Every refusal is a ValueError or the
-CLI's UsageError, so it reaches ``cli.run``'s one-line handler.
+CLI's UsageError, so it reaches ``cli.run``'s one-line handler. No module
+calls ``np.log`` or ``math.fsum``: either rounds some costs differently
+from the ``math.log`` left-to-right sums every reported number comes from.
 """
 
 import ast
@@ -164,6 +166,26 @@ def test_one_clock(path):
     if path.name != "cli.py":
         assert "time" not in top_level_imports(path), \
             f"{path.name} imports time"
+
+
+# calls that would round a cost differently from math.log summed in order
+# (np.log differs from math.log in the last bit on some inputs)
+ROUNDING_CALLS = {("np", "log"), ("numpy", "log"), ("math", "fsum")}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_costs_keep_their_bits(path):
+    module = ast.parse(path.read_text())
+    calls = sorted(
+        f"{node.value.id}.{node.attr}" for node in ast.walk(module)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and (node.value.id, node.attr) in ROUNDING_CALLS)
+    imported = sorted(
+        f"{node.module}.{alias.name}" for node in ast.walk(module)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+        if (node.module, alias.name) in ROUNDING_CALLS)
+    assert not calls + imported, \
+        f"{path.name} uses {calls + imported} in place of math.log"
 
 
 def raised_names(path):

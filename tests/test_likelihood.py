@@ -11,13 +11,14 @@ from parsiml import (DataMatrix, EdgeProbs, char_likelihood_exhaustive,
                      fitch_score, is_constant, modified_loglik,
                      pad_constant_sites, parse_probs, pattern_likelihoods,
                      random_instance, write_probs)
-from parsiml.likelihood import (CHUNK, _log_pattern_value, cost,
-                                modified_logliks, pattern_values)
+from parsiml.likelihood import (CHUNK, _log_pattern_value, modified_logliks,
+                                pattern_values)
 from parsiml.trees import parse_newick
 
-from conftest import (all_characters, caterpillar, complement, exact_cost,
-                      fourier_pattern_values, pattern_log_likelihoods,
-                      random_tree, scalar_pattern_value)
+from conftest import (all_characters, caterpillar, complement, cost,
+                      exact_cost, fourier_pattern_values,
+                      pattern_log_likelihoods, random_tree,
+                      scalar_pattern_value)
 
 
 def random_probs(tree, rng):

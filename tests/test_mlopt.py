@@ -1,17 +1,20 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 
 from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig, canonical_newick,
-                     enumerate_topologies, golden_section_minimize,
-                     grid_minimum, ml_search, modified_loglik, optimize_edges,
-                     pad_constant_sites, random_instance)
-from parsiml.likelihood import cost, modified_logliks
-from parsiml.mlopt import (MAX_SWEEPS, TOL, _coordinate_descent,
+                     enumerate_topologies, ml_search, modified_loglik,
+                     optimize_edges, pad_constant_sites, pad_with_count,
+                     random_instance)
+from parsiml import mlopt
+from parsiml.likelihood import modified_logliks
+from parsiml.mlopt import (MAX_SWEEPS, TOL, _coordinate_descent, _edge_solve,
                            _starting_points)
 
-from conftest import caterpillar, random_tree, scalar_pattern_value
+from conftest import (caterpillar, cost, grid_minimum, random_tree,
+                      reference_edge_solve, scalar_pattern_value)
 
 
 def scalar_descent(tree, data, start):
@@ -37,8 +40,7 @@ def scalar_descent(tree, data, start):
             vec[i] = 1.0
             at1 = values(vec)
             vec[i] = saved
-            x, fx = golden_section_minimize(
-                lambda t: cost(weights, at0, at1, t), 0.0, 0.5)
+            x, fx = reference_edge_solve(weights, at0, at1)
             if fx < current:
                 vec[i] = x
                 current = fx
@@ -48,19 +50,93 @@ def scalar_descent(tree, data, start):
     return vec, current, False, MAX_SWEEPS
 
 
+def hex_pair(pair):
+    return tuple(v.hex() for v in pair)
+
+
+# (weights, at0, at1) profiles for the 1-D edge solve
+_AT0 = [0.4, 0.05, 0.3, 0.25]
+EDGE_PROFILES = {
+    # the flip fraction 3/10 is the minimum
+    "interior": ([3.0, 7.0], [0.0, 1.0], [1.0, 0.0]),
+    "min-at-0": ([2.0, 1.0, 5.0, 3.0], _AT0, [f * 1e-3 for f in _AT0]),
+    "min-at-half": ([2.0, 1.0, 5.0, 3.0], _AT0, [f * 4 for f in _AT0]),
+    # a constant cost: the first pair of points ties exactly
+    "first-pair-tie": ([4.0, 1.0], [0.25, 0.5], [0.25, 0.5]),
+    # x = 0 rules the first pattern out
+    "zero-at-0": ([1.0, 6.0], [0.0, 0.5], [0.5, 0.125]),
+    # no x gives the second pattern any likelihood
+    "zero-at-both-ends": ([2.0, 3.0], [0.5, 0.0], [0.25, 0.0]),
+    "subnormal": ([1.0, 9.0, 2.0], [5e-324, 1e-310, 0.75],
+                  [1e-300, 2.5e-320, 0.5]),
+    "one-pattern": ([12.0], [0.125], [0.625]),
+}
+
+
 class TestGoldenSection:
     def test_interior_minimum(self):
-        x, fx = golden_section_minimize(lambda t: (t - 0.3) ** 2, 0.0, 0.5)
-        assert x == pytest.approx(0.3, abs=1e-10)
-        assert fx == pytest.approx(0.0, abs=1e-18)
+        weights, at0, at1 = EDGE_PROFILES["interior"]
+        x, fx = _edge_solve(weights, at0, at1)
+        assert x == pytest.approx(0.3, abs=1e-7)
+        assert fx == pytest.approx(-(3 * math.log(0.3) + 7 * math.log(0.7)),
+                                   rel=1e-14)
 
     def test_left_boundary_exact(self):
-        x, _ = golden_section_minimize(lambda t: (t + 1.0) ** 2, 0.0, 0.5)
+        x, fx = _edge_solve(*EDGE_PROFILES["min-at-0"])
         assert x == 0.0
+        assert fx == cost(*EDGE_PROFILES["min-at-0"], 0.0)
 
     def test_right_boundary_exact(self):
-        x, _ = golden_section_minimize(lambda t: -t, 0.0, 0.5)
+        x, fx = _edge_solve(*EDGE_PROFILES["min-at-half"])
         assert x == 0.5
+        assert fx == cost(*EDGE_PROFILES["min-at-half"], 0.5)
+
+
+class TestEdgeSolve:
+    @pytest.mark.parametrize("name", sorted(EDGE_PROFILES))
+    def test_equals_reference_bit_for_bit(self, name):
+        profile = EDGE_PROFILES[name]
+        assert hex_pair(_edge_solve(*profile)) == \
+            hex_pair(reference_edge_solve(*profile))
+
+    def test_profiles_reach_their_cases(self):
+        # each crafted profile exercises what its name says
+        weights, at0, at1 = EDGE_PROFILES["first-pair-tie"]
+        x1 = 0.5 - mlopt._INV_GOLDEN * 0.5
+        x2 = mlopt._INV_GOLDEN * 0.5
+        assert cost(weights, at0, at1, x1) == cost(weights, at0, at1, x2)
+        assert cost(*EDGE_PROFILES["zero-at-0"], 0.0) == math.inf
+        assert _edge_solve(*EDGE_PROFILES["zero-at-0"])[1] < math.inf
+        assert _edge_solve(*EDGE_PROFILES["zero-at-both-ends"])[1] == math.inf
+        assert min(EDGE_PROFILES["subnormal"][1]) < sys.float_info.min
+
+    @pytest.mark.parametrize("case", ["n=5,eps=0.5", "n=16,exact-nc"])
+    def test_every_fit_profile_equals_reference(self, case, monkeypatch):
+        # the profiles the descent hands the solve on a prop1-n5 base
+        # matrix over all 15 topologies, and on claims-ladder's 16-leaf fit
+        if case == "n=5,eps=0.5":
+            data = pad_constant_sites(random_instance(5, 3, 0), 0.5).padded
+            trees = list(enumerate_topologies(5))
+        else:
+            # N_c exact at eps = 0.15, as claims-ladder pads: the least N
+            # with N^3 >= M^20, M = 32
+            pad_count = 10_822_639_410
+            assert pad_count ** 3 >= 32 ** 20 > (pad_count - 1) ** 3
+            data = pad_with_count(random_instance(16, 32, 0), pad_count).padded
+            trees = [caterpillar(16)]
+        seen = []
+
+        def spy(weights, at0, at1):
+            got = _edge_solve(weights, at0, at1)
+            seen.append((hex_pair(got),
+                         hex_pair(reference_edge_solve(weights, at0, at1))))
+            return got
+
+        monkeypatch.setattr(mlopt, "_edge_solve", spy)
+        for tree in trees:
+            optimize_edges(tree, data)
+        assert seen
+        assert all(got == want for got, want in seen)
 
 
 class TestOptimizeEdges:
