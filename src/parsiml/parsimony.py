@@ -5,10 +5,10 @@ endpoints differ, over all ways of assigning states to the internal
 vertices. The fast path is one set rule run on every pattern at once, with
 bit j of a Python int standing for pattern j; the brute-force path
 enumerates every internal assignment and is kept as an independent oracle.
-Both take their characters through ``characters._check_character``, and
-complete and partial trees alike are walked along plans from
-``trees._postorder``; the branch and bound plans only the partial trees it
-extends, and scores every child from its parent's plan.
+Both take their characters through ``characters._check_character``. The
+fast path walks plans from ``trees._postorder``; the branch and bound
+builds one, for the 3-leaf star, derives each kept partial tree's plan
+from its parent's, and scores every child from its parent's.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ class _PatternMasks:
         """Weighted flip score of a tree along a postorder ``plan``."""
         return sum(map(self.weight, self.misses(plan)))
 
-    def insertion_costs(self, plan, edges, leaf: int) -> dict:
+    def insertion_costs(self, plan, leaf: int) -> dict:
         """What hanging ``leaf`` on each edge of a binary tree adds to its
-        score, keyed by the edge as ``edges`` spells it.
+        score, keyed by the edge as the plan's child slots carry it.
 
         ``plan`` is the tree's postorder from leaf 1, so every internal
         vertex has two children. One pass down gives each vertex c the Fitch
@@ -97,9 +97,9 @@ class _PatternMasks:
         zeros, ones = self.zeros[leaf], self.ones[leaf]
         costs = {}
         for _, children in plan:
-            for c, i in children:
+            for c, edge in children:
                 s0, s1 = _join(down[c], up[c], full)[0]
-                costs[edges[i]] = self.weight((zeros & ~s0) | (ones & ~s1))
+                costs[edge] = self.weight((zeros & ~s0) | (ones & ~s1))
         return costs
 
     def misses(self, plan) -> list[int]:
@@ -197,6 +197,30 @@ def parsimony_score(tree: Tree, data: DataMatrix) -> int:
     return _PatternMasks(data.n, data.patterns).score(tree.rooted_plan())
 
 
+def _edge_plan(edges) -> tuple:
+    """The postorder of the tree ``edges`` form, hanging from leaf 1, with
+    each child slot carrying its edge as ``edges`` spells it."""
+    return tuple((v, tuple((c, edges[i]) for c, i in children))
+                 for v, children in _postorder(edges, 1))
+
+
+def _graft(plan, edge, w: int, leaf: int) -> list:
+    """``plan`` with ``leaf`` hung from a new vertex w on ``edge`` (u, v):
+    w takes the child's slot and holds the child and the leaf, along edges
+    spelled (u, w), (w, v) and (w, leaf) as the grower spells them."""
+    u, v = edge
+    grafted = []
+    for p, children in plan:
+        for i, (c, e) in enumerate(children):
+            if e == edge:
+                above, below = ((u, w), (w, v)) if p == u else ((w, v), (u, w))
+                grafted += [(leaf, ()), (w, ((c, below), (leaf, (w, leaf))))]
+                children = children[:i] + ((w, above),) + children[i + 1:]
+                break
+        grafted.append((p, children))
+    return grafted
+
+
 def mp_search(data: DataMatrix,
               cap: int = DEFAULT_TOPOLOGY_CAP) -> tuple[int, list[Tree]]:
     """Exact minimum over all binary topologies, by branch and bound.
@@ -205,42 +229,58 @@ def mp_search(data: DataMatrix,
     (Hendy & Penny 1982). Adding a leaf never lowers the flip score, so a
     partial tree on leaves 1..m scoring above the best complete tree so far
     has no optimal completion and is cut; one that ties is kept, so every
-    optimum is found. Only the 3-leaf star is scored from scratch: a kept
-    partial tree gets one down/up pass that prices the next leaf on each of
-    its edges, and each child's score is its parent's plus that price.
-    Returns the best score and every tree attaining it (scores are exact
-    integers, so ties are exact), in canonical order.
+    optimum is found. The first incumbent is greedy: each leaf after the
+    3-leaf star goes on its cheapest edge. A kept partial tree is also cut
+    when its score plus the least price of leaf m+1 exceeds the incumbent,
+    since every completion holds one of its children. Only the star is
+    planned from scratch: a kept partial tree's plan is its parent's with
+    one edge subdivided, one down/up pass over it prices the next leaf on
+    each of its edges, and each child's score is its parent's plus that
+    price. Returns the best score and every tree attaining it (scores are
+    exact integers, so ties are exact), in canonical order.
     """
     n = data.n
     masks = _PatternMasks(n, data.patterns)
-    best = None
-    scored = 0
+    best = scored = 0
     # per leaf count m < n: the score of the last partial tree on 1..m to
-    # survive, and what inserting leaf m+1 on each of its edges adds
-    parents: dict[int, tuple[int, dict]] = {}
+    # survive, its plan, and what inserting leaf m+1 on each edge adds
+    parents: dict[int, tuple] = {}
 
     def bound(edges) -> bool:
-        nonlocal scored
+        nonlocal best, scored
         m = (len(edges) + 3) // 2
-        if m == 3:  # the star every tree grows from
-            scored = masks.score(_postorder(edges, 1))
+        if m == 3:  # the star, handed over once the grower accepted n
+            plan = _edge_plan(edges)
+            scored = best = masks.score(plan)
+            greedy = plan
+            for leaf in range(4, n + 1):
+                costs = masks.insertion_costs(greedy, leaf)
+                edge = min(costs, key=costs.get)
+                best += costs[edge]
+                greedy = _graft(greedy, edge, n + leaf - 2, leaf)
         else:
             # the grower's tail (u,w),(w,v),(w,m) subdivided the parent's
-            # edge (u,v): a child is scored from its parent, with no plan
-            parent, costs = parents[m - 1]
-            scored = parent + costs[edges[-3][0], edges[-2][1]]
-        if best is not None and scored > best:
-            return True
+            # edge (u,v): a child is scored from its parent, and planned
+            # from it only if it may grow
+            (u, w), (_, v), _ = edges[-3:]
+            parent, plan, costs = parents[m - 1]
+            scored = parent + costs[u, v]
+            if scored > best:
+                return True
+            if m < n:
+                plan = _graft(plan, (u, v), w, m)
         if m < n:
-            parents[m] = scored, masks.insertion_costs(
-                _postorder(edges, 1), edges, m + 1)
+            costs = masks.insertion_costs(plan, m + 1)
+            if scored + min(costs.values()) > best:
+                return True
+            parents[m] = scored, plan, costs
         return False
 
     optima: list[Tree] = []
     for tree in enumerate_topologies(n, cap, prune=bound):
-        # ``scored`` is the score of this complete tree: the generator
-        # bounds each tree right before it yields it
-        if best is None or scored < best:
+        # ``scored`` is the score of this complete tree, never above
+        # ``best``: the generator bounds each tree right before it yields it
+        if scored < best:
             best, optima = scored, []
         optima.append(tree)
     optima.sort(key=canonical_newick)

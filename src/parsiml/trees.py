@@ -15,8 +15,8 @@ same topology exactly when their canonical Newick strings match.
 Every traversal is a postorder plan from one builder, :func:`_postorder`, the
 only code that builds an adjacency: a :class:`Tree` stores its sorted edges
 and their degree count. :meth:`Tree.rooted_plan` caches plans per anchor and
-``parsimony.mp_search`` runs the builder on the partial trees it keeps, bare
-edge lists.
+``parsimony.mp_search`` runs the builder once per search, on the 3-leaf star
+as a bare edge list, and derives every later plan from its parent's.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ The workloads call the package as ``P.<name>(..., keyword=...)``; a removed
 name or parameter would fail them at run time. Everything is read from the
 files' source with ``ast``, without importing anything from ``bench/``.
 The package also keeps no dead import, apart from the names the tracer
-swaps in the importing module, which must stay bound there, and imports no
+swaps in the importing module, which must stay bound there and be called
+through that name (``mp_search`` draws its trees through
+``parsimony.enumerate_topologies``, or ``trees.topologies`` counts none), and
+imports no
 threading module: it runs in its caller's thread. No module imports ``os``:
 a run reads its arguments, never the environment. Only the CLI imports
 ``time``: it alone reads a clock. Every refusal is a ValueError or the
@@ -114,6 +117,26 @@ def test_bench_keywords_are_parameters():
         if keyword not in params and not takes_any:
             unknown.append(f"{'.'.join(chain)}({keyword}=)")
     assert not unknown, f"bench passes keywords the package lacks: {unknown}"
+
+
+def test_mp_search_grows_through_the_swapped_name(monkeypatch):
+    # the tracer counts trees.topologies by swapping the grower's name in
+    # parsimony; a search bound to the grower any other way counts nothing
+    from parsiml import parsimony
+
+    assert ("parsiml.parsimony", "enumerate_topologies") in {
+        (module, attr) for module, attr, _ in site_tables()["GENERATOR_SITES"]}
+    drawn = []
+    grower = parsimony.enumerate_topologies
+
+    def counting(*args, **kwargs):
+        for tree in grower(*args, **kwargs):
+            drawn.append(tree)
+            yield tree
+
+    monkeypatch.setattr(parsimony, "enumerate_topologies", counting)
+    _, optima = parsiml.mp_search(parsiml.random_instance(6, 8, 0))
+    assert optima and set(optima) <= set(drawn)
 
 
 @pytest.mark.parametrize(

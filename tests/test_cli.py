@@ -13,6 +13,7 @@ import pytest
 from parsiml import reduction
 from parsiml.characters import pad_constant_sites
 from parsiml.cli import run
+from parsiml.parsimony import _PatternMasks
 
 QUARTET = "((1,2),(3,4));\n"
 MATRIX = "4 2\n1 00\n2 01\n3 10\n4 11\n"
@@ -78,6 +79,23 @@ class TestSearch:
         payload = json.loads(proc.stdout)
         assert payload["score"] == 3
         assert payload["optima"] == ["(1,(2,4),3);", "(1,2,(3,4));"]
+
+    @pytest.mark.parametrize("matrix,line", [
+        ("2 2\n1 01\n2 10\n",
+         "parsiml: error: topology enumeration needs n >= 3"),
+        ("9 2\n" + "".join(f"{v} 01\n" for v in range(1, 10)),
+         "parsiml: error: n=9 exceeds the enumeration cap (8); pass a "
+         "larger cap explicitly to proceed")], ids=["n=2", "n=9"])
+    def test_search_mp_refuses_before_any_insertion_pass(
+            self, tmp_path, monkeypatch, matrix, line):
+        passes = []
+        monkeypatch.setattr(_PatternMasks, "insertion_costs",
+                            lambda *args: passes.append(args))
+        (tmp_path / "x.mat").write_text(matrix)
+        proc = run_cli("search-mp", "--matrix", str(tmp_path / "x.mat"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (1, "", line + "\n")
+        assert passes == []
 
     def test_search_ml(self, workdir):
         proc = run_cli("--format", "json", "search-ml",

@@ -186,44 +186,42 @@ class TestBatchedKernel:
             list(modified_logliks(quartet, [[0.1] * 4], data))
 
 
-def value_along_reference(weights, at0, at1, x):
-    # the per-edge cost loop as the optimizer wrote it inline before the
-    # shared helper existed
-    stay = 1.0 - x
-    total = 0.0
-    for w, f0, f1 in zip(weights, at0, at1):
-        f = stay * f0 + x * f1
-        if f <= 0.0:
-            return math.inf
-        total -= w * math.log(f)
-    return total if total > 0.0 else 0.0
-
-
 class TestCostHelper:
+    """The edge solve's objective against the dataset cost: every pattern
+    value is affine in one edge's p_e, so blending its values at p_e = 0
+    and p_e = 1 by x gives the cost at p_e = x."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_exactly(self, seed):
         rng = np.random.default_rng(seed)
-        size = int(rng.integers(1, 8))
-        weights = [float(w) for w in rng.integers(1, 10**6, size)]
-        at0 = [float(f) for f in rng.uniform(0.0, 1.0, size)]
-        at1 = [float(f) for f in rng.uniform(0.0, 1.0, size)]
-        for x in (0.0, float(rng.uniform(0.0, 0.5))):
-            assert cost(weights, at0, at1, x) == \
-                value_along_reference(weights, at0, at1, x)
-        # plain cost: the same values twice at x = 0 is the -sum w ln f loop
-        plain = 0.0
-        for w, f in zip(weights, at0):
-            plain -= w * math.log(f)
-        assert cost(weights, at0, at0, 0.0) == plain
-        assert cost(weights, at0, at0, 0.0) == \
-            value_along_reference(weights, at0, at0, 0.0)
+        n = 4 + seed
+        tree = random_tree(n, seed)
+        data = random_instance(n, 2 * n, seed)
+        plan = tree.rooted_plan()
+        states = [ch for ch, _ in data.patterns]
+        weights = [float(w) for _, w in data.patterns]
+        vec = [float(p) for p in rng.uniform(0.0, 0.5, len(tree.edges))]
+        for e in range(len(tree.edges)):
+            at0, at1 = pattern_values(
+                plan, [vec[:e] + [p] + vec[e + 1:] for p in (0.0, 1.0)],
+                states).tolist()
+            for x in (0.0, float(rng.uniform(0.0, 0.5)), 0.5):
+                probs = EdgeProbs.from_vector(tree, vec[:e] + [x]
+                                              + vec[e + 1:])
+                assert cost(weights, at0, at1, x) == pytest.approx(
+                    modified_loglik(tree, probs, data), rel=1e-12)
 
     def test_zero_likelihood_pattern_gives_inf(self):
         weights, at0, at1 = [3.0, 2.0], [0.5, 0.0], [0.25, 0.0]
         for x in (0.0, 0.3):
             assert cost(weights, at0, at1, x) == math.inf
-            assert value_along_reference(weights, at0, at1, x) == math.inf
         assert cost(weights, at0, at0, 0.0) == math.inf
+        # on a tree: with every p = 0 no pattern that varies can arise
+        tree = caterpillar(5)
+        data = DataMatrix.from_columns(5, [(0, 0, 1, 1, 0), (0,) * 5])
+        values = pattern_values(tree.rooted_plan(), [[0.0] * 7],
+                                [ch for ch, _ in data.patterns])[0].tolist()
+        assert cost([1.0, 1.0], values, values, 0.0) == math.inf
 
 
 @pytest.mark.parametrize("n", [5, 16])

@@ -7,7 +7,8 @@ from parsiml import (DataMatrix, brute_force_score, canonical_newick,
                      mp_search, pad_constant_sites, pad_with_count,
                      parse_newick, parsimony_score, random_instance)
 from parsiml import parsimony
-from parsiml.parsimony import _PatternMasks, pattern_scores
+from parsiml.parsimony import (_PatternMasks, _edge_plan, _graft,
+                               pattern_scores)
 from parsiml.trees import Tree, _postorder
 
 from conftest import all_characters, caterpillar, complement, random_tree
@@ -125,43 +126,72 @@ def grown_trees(n):
     return seen
 
 
-class TestInsertionCost:
-    """A child's score as its parent's plus the price of the new leaf on
-    the subdivided edge, against a full Fitch pass over the child."""
-
-    @staticmethod
-    def matrix(n, kind, seed):
-        if kind == "random":
-            return random_instance(n, 12, seed)
-        if kind == "heavy":  # multiplicities 2^52 + odd: every bit slice
-            return DataMatrix(n, tuple(
-                (ch, 2 ** 52 + 2 * i + 1)
-                for i, (ch, _) in enumerate(random_instance(n, 12, seed)
-                                            .patterns)))
+def kind_matrix(n, kind, seed):
+    """A 12-column random matrix, the same patterns at multiplicities
+    2^52 + odd (every bit slice in use), an all-constant matrix, or a
+    tie-rich one: every leaf's singleton split, which costs one flip on any
+    tree, and one cherry, which costs one flip on the (2n-7)!! trees
+    holding it and two elsewhere."""
+    if kind == "random":
+        return random_instance(n, 12, seed)
+    if kind == "heavy":
+        return DataMatrix(n, tuple(
+            (ch, 2 ** 52 + 2 * i + 1)
+            for i, (ch, _) in enumerate(random_instance(n, 12, seed)
+                                        .patterns)))
+    if kind == "constant":
         return DataMatrix.from_columns(n, [(0,) * n] * (seed + 1)
                                        + [(1,) * n] * 2)
+    singletons = [tuple(int(v == leaf) for v in range(n)) for leaf in range(n)]
+    cherry = tuple(int(v in (seed, seed + 1)) for v in range(n))
+    return DataMatrix.from_columns(n, singletons + [cherry] * 3)
+
+
+def rooted_edges(plan):
+    """A plan as its (parent, child, edge slot) triples, after checking
+    that it lists every child before its parent."""
+    placed = set()
+    triples = set()
+    for v, children in plan:
+        for c, e in children:
+            assert c in placed
+            triples.add((v, c, e))
+        placed.add(v)
+    return triples
+
+
+class TestInsertionCost:
+    """A child's score as its parent's plus the price of the new leaf on
+    the subdivided edge, against a full Fitch pass over the child, and a
+    plan derived from the parent's against a fresh one."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", ["random", "heavy", "constant"])
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_parent_plus_cost_is_child_score(self, n, kind, seed):
-        data = self.matrix(n, kind, seed)
+        data = kind_matrix(n, kind, seed)
         masks = _PatternMasks(n, data.patterns)
         parents = {}
         priced = children = 0
         for edges in grown_trees(n):
             m = (len(edges) + 3) // 2
-            score = masks.score(_postorder(edges, 1))
+            fresh = _edge_plan(edges)
+            score = masks.score(fresh)
+            plan = fresh
             if m > 3:
                 # the tail (u,w),(w,v),(w,m) names the subdivided edge (u,v)
-                parent, costs = parents[m - 1]
-                assert parent + costs[edges[-3][0], edges[-2][1]] == score
+                (u, w), (_, v), _ = edges[-3:]
+                parent, parent_plan, costs = parents[m - 1]
+                assert parent + costs[u, v] == score
+                plan = _graft(parent_plan, (u, v), w, m)
+                assert rooted_edges(plan) == rooted_edges(fresh)
+                assert plan[-1] == fresh[-1]  # still hanging from leaf 1
                 children += 1
             if m < n:
-                costs = masks.insertion_costs(_postorder(edges, 1), edges,
-                                              m + 1)
+                costs = masks.insertion_costs(plan, m + 1)
+                assert costs == masks.insertion_costs(fresh, m + 1)
                 assert set(costs) == set(edges)
-                parents[m] = score, costs
+                parents[m] = score, plan, costs
                 priced += len(costs)
             else:
                 assert score == parsimony_score(Tree(n, edges), data)
@@ -244,46 +274,120 @@ class TestSearch:
         assert score == 0
         assert len(optima) == 3
 
-    @pytest.mark.parametrize("n,k,seed", [
-        (4, 3, 0), (5, 6, 1), (6, 10, 2), (7, 12, 3),
-        (8, 8, 3), (8, 24, 3), (8, 64, 3)])
-    def test_matches_exhaustive_minimum(self, n, k, seed):
-        data = random_instance(n, k, seed)
-        topologies = list(enumerate_topologies(n))
+    @staticmethod
+    def exhaustive(data):
+        """The least score over every topology and every tree attaining it,
+        in the order ``mp_search`` returns them."""
+        topologies = list(enumerate_topologies(data.n))
         scores = [parsimony_score(t, data) for t in topologies]
         best = min(scores)
-        expected = sorted((t for t, s in zip(topologies, scores) if s == best),
-                          key=canonical_newick)
-        score, optima = mp_search(data)
-        assert score == best
-        # Tree equality is edge equality: same edges and internal ids
-        assert optima == expected
+        return best, sorted((t for t, s in zip(topologies, scores)
+                             if s == best), key=canonical_newick)
 
-    def test_plans_only_kept_partial_trees(self, monkeypatch):
-        # one plan per partial tree that survives the bound, plus one to
-        # score the 3-leaf star; a complete tree is scored from its parent
-        data = random_instance(8, 64, 3)
-        expected = mp_search(data)
-        planned, kept = [], []
+    @pytest.mark.parametrize("n,k,seed", [
+        (4, 3, 0), (5, 6, 1), (6, 10, 2), (7, 12, 3),
+        (8, 8, 3), (8, 24, 3), (8, 64, 3)]
+        + [pytest.param(n, kind, seed, id=f"{n}-{kind}-{seed}")
+           for n, kind, seed in [(6, "heavy", 0), (8, "heavy", 2),
+                                 (5, "constant", 0), (8, "constant", 1),
+                                 (6, "ties", 0), (8, "ties", 2)]])
+    def test_matches_exhaustive_minimum(self, n, k, seed):
+        data = (random_instance(n, k, seed) if isinstance(k, int)
+                else kind_matrix(n, k, seed))
+        # Tree equality is edge equality: same edges and internal ids
+        assert mp_search(data) == self.exhaustive(data)
+
+    @given(st.integers(3, 7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_exhaustive(self, n, source):
+        columns = source.draw(st.lists(
+            st.tuples(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                      st.integers(1, 3)), min_size=1, max_size=6))
+        data = DataMatrix.from_columns(
+            n, [tuple(ch) for ch, mult in columns for _ in range(mult)])
+        assert mp_search(data) == self.exhaustive(data)
+
+    @staticmethod
+    def spied_search(monkeypatch, data):
+        """Run ``mp_search`` counting its ``_postorder`` plans and insertion
+        passes, the complete trees its bound sees, the trees it cuts before
+        the first complete one, and the partial trees no worse than the
+        best complete tree yielded so far (scored independently)."""
+        n = data.n
+        masks = _PatternMasks(n, data.patterns)
+        seen = {"plans": 0, "passes": 0, "complete": 0, "eligible": 0,
+                "early_cuts": 0}
+        yielded = [None]
         postorder, grower = parsimony._postorder, parsimony.enumerate_topologies
+        insertion_costs = _PatternMasks.insertion_costs
 
         def count_plans(edges, anchor):
-            planned.append(len(edges))
+            seen["plans"] += 1
             return postorder(edges, anchor)
 
-        def count_kept(n, cap, prune):
+        def count_passes(self, plan, leaf):
+            seen["passes"] += 1
+            return insertion_costs(self, plan, leaf)
+
+        def count_trees(n, cap, prune):
             def spy(edges):
                 cut = prune(edges)
-                if not cut and len(edges) < 2 * n - 3:
-                    kept.append(len(edges))
+                score = masks.score(_postorder(edges, 1))
+                if len(edges) == 2 * n - 3:
+                    seen["complete"] += 1
+                    if not cut and (yielded[0] is None or score < yielded[0]):
+                        yielded[0] = score
+                elif yielded[0] is None or score <= yielded[0]:
+                    seen["eligible"] += 1
+                if cut and not seen["complete"]:
+                    seen["early_cuts"] += 1
                 return cut
             return grower(n, cap, prune=spy)
 
         monkeypatch.setattr(parsimony, "_postorder", count_plans)
-        monkeypatch.setattr(parsimony, "enumerate_topologies", count_kept)
-        assert mp_search(data) == expected
-        assert kept and len(planned) <= len(kept) + 1
-        assert max(planned) < 2 * 8 - 3
+        monkeypatch.setattr(_PatternMasks, "insertion_costs", count_passes)
+        monkeypatch.setattr(parsimony, "enumerate_topologies", count_trees)
+        result = mp_search(data)
+        monkeypatch.undo()
+        return result, seen
+
+    def test_plans_only_kept_partial_trees(self, monkeypatch):
+        # one plan per search, for the 3-leaf star; every other plan is
+        # derived from its parent's. One insertion pass per greedy leaf, and
+        # one per partial tree the score bound keeps: such a tree is no
+        # worse than the incumbent, which is never worse than the best
+        # complete tree yielded so far
+        for k in (8, 64):
+            data = random_instance(8, k, 3)
+            expected = mp_search(data)
+            result, seen = self.spied_search(monkeypatch, data)
+            assert result == expected
+            assert seen["plans"] == 1
+            assert seen["passes"] <= seen["eligible"] + (8 - 3)
+
+    def test_bound_cuts_most_complete_trees(self, monkeypatch):
+        # the greedy incumbent and the one-leaf look-ahead cut early: at
+        # k = 64 a bound without them scores all 10,395 complete trees, and
+        # with no incumbent nothing is cut before the first complete tree
+        data = random_instance(8, 64, 3)
+        _, seen = self.spied_search(monkeypatch, data)
+        assert seen["complete"] < 1000
+        assert seen["early_cuts"] > 0
+
+    @pytest.mark.parametrize("n,message", [
+        (2, "topology enumeration needs n >= 3"),
+        (9, "n=9 exceeds the enumeration cap (8); pass a larger cap "
+            "explicitly to proceed")], ids=["n=2", "n=9"])
+    def test_refusals_come_before_any_insertion_pass(self, monkeypatch, n,
+                                                      message):
+        passes = []
+        monkeypatch.setattr(_PatternMasks, "insertion_costs",
+                            lambda *args: passes.append(args))
+        data = DataMatrix.from_columns(n, [tuple(v % 2 for v in range(n))])
+        with pytest.raises(ValueError) as refused:
+            mp_search(data)
+        assert str(refused.value) == message
+        assert passes == []
 
     def test_cap_respected(self):
         m = DataMatrix.from_columns(9, [tuple([0, 1] * 4 + [0])])
