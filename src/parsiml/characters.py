@@ -116,15 +116,6 @@ class DataMatrix:
             for _ in range(mult):
                 yield ch
 
-    def with_extra(self, ch, count: int) -> "DataMatrix":
-        """A new matrix with ``count`` more copies of ``ch``."""
-        ch = _check_character(ch, self.n)
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        counts = dict(self.patterns)
-        counts[ch] = counts.get(ch, 0) + count
-        return DataMatrix(self.n, tuple(sorted(counts.items())))
-
 
 @dataclass(frozen=True)
 class PaddedInstance:
@@ -158,7 +149,10 @@ class PaddedInstance:
 
     @cached_property
     def padded(self) -> DataMatrix:
-        return self.base.with_extra((0,) * self.base.n, self.pad_count)
+        counts = dict(self.base.patterns)
+        zero = (0,) * self.base.n
+        counts[zero] = counts.get(zero, 0) + self.pad_count
+        return DataMatrix(self.base.n, tuple(sorted(counts.items())))
 
 
 def pad_constant_sites(base: DataMatrix, epsilon: float) -> PaddedInstance:

@@ -14,9 +14,9 @@ A pattern with zero likelihood (possible once some p_e = 0) makes the cost
 +inf, which compares correctly against every finite value; a pattern value
 that merely underflows is recomputed in log space and stays finite.
 
-Two evaluators are provided on purpose: a term-by-term exhaustive sum and a
-dynamic program over the tree. They share nothing but the model definition,
-so agreement between them is evidence, not tautology. The dynamic program
+Two evaluators are provided on purpose: a term-by-term sum over
+``trees._extensions`` and a dynamic program over the tree. They share
+nothing but the model, so agreement is evidence, not tautology. The DP
 (:func:`pattern_values`) runs over a batch of edge vectors times every
 pattern at once with numpy, in the scalar recursion's operation order, so
 batching changes no bit of any value. Its values become ln f in one place
@@ -36,9 +36,8 @@ import sys
 import numpy as np
 
 from parsiml.characters import DataMatrix, _check_character
-from parsiml.trees import Edge, Tree, _normalize_edge
+from parsiml.trees import Edge, Tree, _extensions, _normalize_edge
 
-EXHAUSTIVE_CAP = 24
 _NORMAL_MIN = sys.float_info.min  # below it a double is subnormal or zero
 # Edge vectors per DP pass: bounds what is held.
 CHUNK = 64
@@ -69,9 +68,6 @@ class EdgeProbs:
 
     def __getitem__(self, edge) -> float:
         return self._by_edge[_normalize_edge(*edge)]
-
-    def __len__(self) -> int:
-        return len(self._by_edge)
 
     def items(self):
         return sorted(self._by_edge.items())
@@ -159,16 +155,8 @@ def char_likelihood_exhaustive(tree: Tree, probs: EdgeProbs, ch) -> float:
     """Per-character likelihood as a literal sum over all extensions."""
     ch = _check_character(ch, tree.n)
     vec = probs.vector(tree)
-    internal = tree.internal_vertices()
-    m = len(internal)
-    if m > EXHAUSTIVE_CAP:
-        raise ValueError(f"{m} internal vertices exceeds the exhaustive cap "
-                         f"({EXHAUSTIVE_CAP})")
-    state = {v: ch[v - 1] for v in range(1, tree.n + 1)}
     total = 0.0
-    for bits in range(1 << m):
-        for j, v in enumerate(internal):
-            state[v] = (bits >> j) & 1
+    for state in _extensions(tree, ch, "exhaustive"):
         term = 1.0
         for i, (u, v) in enumerate(tree.edges):
             p = vec[i]

@@ -3,21 +3,19 @@
 The score of a character on a tree is the smallest number of edges whose
 endpoints differ, over all ways of assigning states to the internal
 vertices. The fast path is one set rule run on every pattern at once, with
-bit j of a Python int standing for pattern j; the brute-force path
-enumerates every internal assignment and is kept as an independent oracle.
-Both take their characters through ``characters._check_character``. The
-fast path walks plans from ``trees._postorder``; the branch and bound
-builds one, for the 3-leaf star, derives each kept partial tree's plan
-from its parent's, and scores every child from its parent's.
+bit j of a Python int standing for pattern j; the brute-force path, kept as
+an independent oracle, is a minimum over ``trees._extensions``. Both take
+their characters through ``characters._check_character``. The fast path
+walks plans from ``trees._postorder``; the branch and bound builds one, for
+the 3-leaf star, derives each kept partial tree's plan from its parent's,
+and scores every child from its parent's.
 """
 
 from __future__ import annotations
 
 from parsiml.characters import DataMatrix, _check_character
-from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, _postorder,
-                           canonical_newick, enumerate_topologies)
-
-BRUTE_FORCE_CAP = 24
+from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, _extensions,
+                           _postorder, canonical_newick, enumerate_topologies)
 
 
 def _join(a, b, full: int):
@@ -166,21 +164,11 @@ def pattern_scores(tree: Tree, patterns) -> list[int]:
 
 
 def brute_force_score(tree: Tree, ch) -> int:
-    """Exact minimum by enumerating all 2^(internal vertices) extensions.
-
-    Independent of :func:`fitch_score`; used to cross-check it.
-    """
+    """Exact minimum over all 2^(internal vertices) extensions, independent
+    of :func:`fitch_score` and used to cross-check it."""
     ch = _check_character(ch, tree.n)
-    internal = tree.internal_vertices()
-    m = len(internal)
-    if m > BRUTE_FORCE_CAP:
-        raise ValueError(f"{m} internal vertices exceeds the brute-force cap "
-                         f"({BRUTE_FORCE_CAP})")
-    state = {v: ch[v - 1] for v in range(1, tree.n + 1)}
     best = None
-    for bits in range(1 << m):
-        for j, v in enumerate(internal):
-            state[v] = (bits >> j) & 1
+    for state in _extensions(tree, ch, "brute-force"):
         flips = 0
         for u, v in tree.edges:
             if state[u] != state[v]:

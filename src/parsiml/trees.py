@@ -16,7 +16,8 @@ Every traversal is a postorder plan from one builder, :func:`_postorder`, the
 only code that builds an adjacency: a :class:`Tree` stores its sorted edges
 and their degree count. :meth:`Tree.rooted_plan` caches plans per anchor and
 ``parsimony.mp_search`` runs the builder once per search, on the 3-leaf star
-as a bare edge list, and derives every later plan from its parent's.
+as a bare edge list, and derives every later plan from its parent's. Both
+exhaustive walks live here, over topologies and over a character's extensions.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from collections import Counter
 Edge = tuple[int, int]
 
 DEFAULT_TOPOLOGY_CAP = 8
+EXTENSION_CAP = 24  # internal vertices: 2^24 extensions
 
 
 class NewickError(ValueError):
@@ -314,6 +316,21 @@ def enumerate_topologies(n: int, cap: int = DEFAULT_TOPOLOGY_CAP,
             yield from grow(grown, next_leaf + 1, next_internal + 1)
 
     yield from grow([(1, n + 1), (2, n + 1), (3, n + 1)], 4, n + 2)
+
+
+def _extensions(tree: Tree, ch, oracle: str):
+    """Each of the 2^m states of the m internal vertices (vertex j, sorted,
+    takes bit j of a count) beside the leaves' ``ch``, as one dict reused."""
+    internal = tree.internal_vertices()
+    if len(internal) > EXTENSION_CAP:
+        raise ValueError(f"{len(internal)} internal vertices exceeds the "
+                         f"{oracle} cap ({EXTENSION_CAP})")
+    state = {v: ch[v - 1] for v in range(1, tree.n + 1)}
+    slots = tuple(enumerate(internal))
+    for bits in range(1 << len(internal)):
+        for j, v in slots:
+            state[v] = (bits >> j) & 1
+        yield state
 
 
 def topology_count(n: int) -> int:

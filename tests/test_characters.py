@@ -222,7 +222,8 @@ class TestPadding:
         padded = PaddedInstance(quartet_matrix, 0.5, 64)
         assert [f.name for f in dataclasses.fields(padded)] == [
             "base", "epsilon", "pad_count"]
-        assert padded.padded == quartet_matrix.with_extra(zero, 64)
+        assert padded.padded == DataMatrix.from_columns(
+            4, [*quartet_matrix.expanded_columns(), *[zero] * 64])
         assert padded.size == max(2 * quartet_matrix.n, quartet_matrix.k)
         assert padded == pad_constant_sites(quartet_matrix, 0.5)
         # the limit binds an instance built directly, not only the pad paths

@@ -74,13 +74,6 @@ class TestPerCharacter:
                     fast = char_likelihood_pruning(tree, probs, ch)
                     assert fast == pytest.approx(slow, rel=1e-12)
 
-    def test_exhaustive_sum_refuses_past_its_cap(self):
-        tree = caterpillar(27)
-        with pytest.raises(ValueError, match=r"25 internal vertices exceeds "
-                                             r"the exhaustive cap \(24\)"):
-            char_likelihood_exhaustive(tree, EdgeProbs.uniform(tree, 0.1),
-                                       (0,) * 27)
-
     def test_anchor_invariance(self):
         tree = caterpillar(5)
         rng = np.random.default_rng(7)

@@ -64,11 +64,6 @@ class TestBruteForce:
         assert brute_force_score(two_leaf, (0, 1)) == 1
         assert brute_force_score(two_leaf, (0, 0)) == 0
 
-    def test_cap_refused(self):
-        tree = caterpillar(28)  # 26 internal vertices
-        with pytest.raises(ValueError, match="cap"):
-            brute_force_score(tree, (0,) * 28)
-
 
 class TestScoreProperties:
     @given(st.integers(3, 6), st.integers(0, 104), st.data())

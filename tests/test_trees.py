@@ -11,6 +11,7 @@ from parsiml import (EdgeProbs, NewickError, TopologyCapError, Tree,
                      char_likelihood_exhaustive, char_likelihood_pruning,
                      enumerate_topologies, fitch_score, parse_newick,
                      pattern_likelihoods, topology_count)
+from parsiml.trees import EXTENSION_CAP, _extensions
 
 from conftest import (all_characters, caterpillar, is_binary, random_tree,
                       reference_rooted_plan)
@@ -238,6 +239,43 @@ class TestEnumeration:
             next(enumerate_topologies(2))
         with pytest.raises(ValueError, match="defined for n >= 3"):
             topology_count(2)
+
+
+class TestExtensions:
+    """The one enumeration both exhaustive oracles walk."""
+
+    @pytest.mark.parametrize("tree", [random_tree(n, n) for n in range(2, 8)]
+                             + [parse_newick("(1,2,(3,4,5));")],
+                             ids=[f"n={n}" for n in range(2, 8)]
+                             + ["(1,2,(3,4,5))"])
+    def test_every_assignment_once_with_the_leaves_fixed(self, tree):
+        internal = tree.internal_vertices()
+        rng = random.Random(tree.n)
+        for ch in rng.sample(list(all_characters(tree.n)),
+                             min(8, 2 ** tree.n)):
+            seen = [dict(state) for state in _extensions(tree, ch, "test")]
+            assert len(seen) == 2 ** len(internal)
+            assert len({tuple(sorted(s.items())) for s in seen}) == len(seen)
+            for count, state in enumerate(seen):
+                assert set(state) == tree.vertices
+                assert all(state[v] == ch[v - 1] for v in range(1, tree.n + 1))
+                # internal vertex j (sorted) takes bit j of the count: the
+                # order both oracles sum and minimise in
+                assert [state[v] for v in internal] == [
+                    count >> j & 1 for j in range(len(internal))]
+
+    @pytest.mark.parametrize("oracle,word", [
+        (brute_force_score, "brute-force"),
+        (lambda tree, ch: char_likelihood_exhaustive(
+            tree, EdgeProbs.uniform(tree, 0.1), ch), "exhaustive"),
+    ], ids=["brute-force", "exhaustive"])
+    def test_oracles_refuse_past_the_one_cap(self, oracle, word):
+        assert EXTENSION_CAP == 24
+        tree = caterpillar(27)  # 25 internal vertices
+        with pytest.raises(ValueError) as err:
+            oracle(tree, (0,) * 27)
+        assert str(err.value) == (f"25 internal vertices exceeds the {word} "
+                                  f"cap (24)")
 
 
 class TestNewick:
