@@ -17,9 +17,8 @@ from parsiml.mlopt import MLResult, OptimizerConfig, ml_search, optimize_edges
 from parsiml.parsimony import (brute_force_score, fitch_score, mp_search,
                                parsimony_score)
 from parsiml.reduction import (ReductionQuantities, VerifierReport,
-                               normalized_cost, quantities_for,
-                               verify_claim1, verify_claim2, verify_claim3,
-                               verify_prop1_chain)
+                               quantities_for, verify_claim1, verify_claim2,
+                               verify_claim3, verify_prop1_chain)
 from parsiml.trees import (NewickError, TopologyCapError, Tree,
                            canonical_newick, enumerate_topologies,
                            parse_newick, topology_count)
@@ -34,9 +33,8 @@ __all__ = [
     "modified_loglik", "parse_probs", "pattern_likelihoods", "write_probs",
     "MLResult", "OptimizerConfig", "ml_search", "optimize_edges",
     "brute_force_score", "fitch_score", "mp_search", "parsimony_score",
-    "ReductionQuantities", "VerifierReport", "normalized_cost",
-    "quantities_for", "verify_claim1", "verify_claim2", "verify_claim3",
-    "verify_prop1_chain",
+    "ReductionQuantities", "VerifierReport", "quantities_for",
+    "verify_claim1", "verify_claim2", "verify_claim3", "verify_prop1_chain",
     "NewickError", "TopologyCapError", "Tree", "canonical_newick",
     "enumerate_topologies", "parse_newick", "topology_count",
     "__version__",

@@ -118,8 +118,8 @@ def build_parser() -> _Parser:
     verify.add_argument("--tree", help="tree file (claim checks only)")
     verify.add_argument("--epsilon", type=float)
     verify.add_argument("--nc", type=int,
-                        help="override the padding size instead of deriving it "
-                             "from epsilon (for size sweeps)")
+                        help="pad with an explicit number of all-zero columns "
+                             "(claim1 and claim3 still read --epsilon)")
     verify.add_argument("--trials", type=int)
     verify.add_argument("--restarts", type=int)
     return parser
@@ -246,9 +246,11 @@ def _claim(verify, *keywords):
     def call(args, matrix):
         if not args.tree:
             raise UsageError(f"verify {args.check} requires --tree")
-        if None not in (args.nc, args.epsilon) and "epsilon" not in keywords:
+        reads = "epsilon" in keywords  # claim1 and claim3 need it beside --nc
+        if args.nc is not None and reads == (args.epsilon is None):
+            verb = "requires" if reads else "does not read"
             raise UsageError(
-                f"verify {args.check} does not read --epsilon beside --nc")
+                f"verify {args.check} {verb} --epsilon beside --nc")
         tree = trees.parse_newick(_read(args.tree))
         return verify(_padded(matrix, args), tree, **_given(args, *keywords))
     return call

@@ -6,9 +6,9 @@ vertices. The fast path is one set rule run on every pattern at once, with
 bit j of a Python int standing for pattern j; the brute-force path, kept as
 an independent oracle, is a minimum over ``trees._extensions``. Both take
 their characters through ``characters._check_character``. The fast path
-walks plans from ``trees._postorder``; the branch and bound builds one, for
-the 3-leaf star, derives each kept partial tree's plan from its parent's,
-and scores every child from its parent's.
+walks plans from ``trees._postorder``; the branch and bound plans only the
+3-leaf star, grafts each kept tree's plan from its parent's, and scores its
+children from one flat pass of flip masks, weighed past a popcount cut.
 """
 
 from __future__ import annotations
@@ -64,41 +64,42 @@ class _PatternMasks:
         """Weighted flip score of a tree along a postorder ``plan``."""
         return sum(map(self.weight, self.misses(plan)))
 
-    def insertion_costs(self, plan, leaf: int) -> dict:
-        """What hanging ``leaf`` on each edge of a binary tree adds to its
-        score, keyed by the edge as the plan's child slots carry it.
+    def insertion_masks(self, plan, leaf: int) -> dict:
+        """Per edge of a binary tree, keyed as the plan's child slots carry
+        it, the patterns that pay one more flip once ``leaf`` hangs there.
 
-        ``plan`` is the tree's postorder from leaf 1, so every internal
-        vertex has two children. One pass down gives each vertex c the Fitch
-        set D_c of its subtree, one pass up the set A_c of the rest of the
-        tree seen from c's parent p. Inserting the leaf on (p, c) costs one
-        flip for each pattern whose leaf state is outside S = D_c & A_c, or
-        D_c | A_c where they are disjoint: the new vertex joins D_c, A_c and
-        the leaf, and pays a flip beyond the old score exactly when the
-        leaf's state is not in S.
+        ``plan`` is the tree's postorder from leaf 1. Down, each vertex c
+        gets the Fitch set D_c of its subtree; up, the set A_c of the rest of
+        the tree, in lists indexed by vertex id (< 2n). A new vertex on c's
+        edge pays a flip where the leaf's state is outside S = D_c & A_c, or
+        D_c | A_c where they are disjoint: where S is one state (both0 ^
+        both1), not the leaf's (both1 ^ its 1s).
         """
-        full = self.full
-        down = {}
+        full, zeros, ones = self.full, self.zeros, self.ones
+        down0, down1 = zeros + [0] * self.n, ones + [0] * self.n
+        up0, up1 = [0] * len(down0), [0] * len(down0)
         for v, children in plan[:-1]:
             if children:
                 (c, _), (d, _) = children
-                down[v] = _join(down[c], down[d], full)[0]
-            else:
-                down[v] = (self.zeros[v], self.ones[v])
-        (top, _), = plan[-1][1]
-        up = {top: (self.zeros[1], self.ones[1])}
-        for v, children in reversed(plan[:-1]):
+                both0, both1 = down0[c] & down0[d], down1[c] & down1[d]
+                miss = full ^ (both0 | both1)
+                down0[v], down1[v] = both0 | miss, both1 | miss
+        lone = ones[leaf]
+        (top, edge), = plan[-1][1]
+        up0[top], up1[top] = zeros[1], ones[1]
+        both0, both1 = down0[top] & zeros[1], down1[top] & ones[1]
+        masks = {edge: (both0 ^ both1) & (both1 ^ lone)}
+        for v, children in plan[-2::-1]:
             if children:
-                (c, _), (d, _) = children
-                up[c] = _join(down[d], up[v], full)[0]
-                up[d] = _join(down[c], up[v], full)[0]
-        zeros, ones = self.zeros[leaf], self.ones[leaf]
-        costs = {}
-        for _, children in plan:
-            for c, edge in children:
-                s0, s1 = _join(down[c], up[c], full)[0]
-                costs[edge] = self.weight((zeros & ~s0) | (ones & ~s1))
-        return costs
+                a0, a1 = up0[v], up1[v]
+                for (c, edge), (d, _) in (children, children[::-1]):
+                    both0, both1 = down0[d] & a0, down1[d] & a1
+                    miss = full ^ (both0 | both1)
+                    up0[c] = s0 = both0 | miss
+                    up1[c] = s1 = both1 | miss
+                    both0, both1 = down0[c] & s0, down1[c] & s1
+                    masks[edge] = (both0 ^ both1) & (both1 ^ lone)
+        return masks
 
     def misses(self, plan) -> list[int]:
         """Masks of the patterns paying a flip, one mask per flip paid.
@@ -197,16 +198,14 @@ def _graft(plan, edge, w: int, leaf: int) -> list:
     w takes the child's slot and holds the child and the leaf, along edges
     spelled (u, w), (w, v) and (w, leaf) as the grower spells them."""
     u, v = edge
-    grafted = []
-    for p, children in plan:
+    for at, (p, children) in enumerate(plan):
         for i, (c, e) in enumerate(children):
             if e == edge:
                 above, below = ((u, w), (w, v)) if p == u else ((w, v), (u, w))
-                grafted += [(leaf, ()), (w, ((c, below), (leaf, (w, leaf))))]
                 children = children[:i] + ((w, above),) + children[i + 1:]
-                break
-        grafted.append((p, children))
-    return grafted
+                return [*plan[:at], (leaf, ()),
+                        (w, ((c, below), (leaf, (w, leaf)))),
+                        (p, children), *plan[at + 1:]]
 
 
 def mp_search(data: DataMatrix,
@@ -222,10 +221,11 @@ def mp_search(data: DataMatrix,
     when its score plus the least price of leaf m+1 exceeds the incumbent,
     since every completion holds one of its children. Only the star is
     planned from scratch: a kept partial tree's plan is its parent's with
-    one edge subdivided, one down/up pass over it prices the next leaf on
-    each of its edges, and each child's score is its parent's plus that
-    price. Returns the best score and every tree attaining it (scores are
-    exact integers, so ties are exact), in canonical order.
+    one edge subdivided, one flat pass masks the patterns leaf m+1 makes
+    pay a flip on each edge, and a child scores its parent's plus its edge's
+    weight; the look-ahead weighs only trees the least popcount, a lower
+    bound (multiplicities are >= 1), keeps. Returns the best score and every
+    tree attaining it (exact integers, so ties are exact), in canonical order.
     """
     n = data.n
     masks = _PatternMasks(n, data.patterns)
@@ -242,9 +242,11 @@ def mp_search(data: DataMatrix,
             scored = best = masks.score(plan)
             greedy = plan
             for leaf in range(4, n + 1):
-                costs = masks.insertion_costs(greedy, leaf)
-                edge = min(costs, key=costs.get)
-                best += costs[edge]
+                flips = masks.insertion_masks(greedy, leaf)
+                # the cheapest edge, ties going to the first in plan order
+                edge = min((e for _, kids in greedy for _, e in kids),
+                           key=lambda e: masks.weight(flips[e]))
+                best += masks.weight(flips[edge])
                 greedy = _graft(greedy, edge, n + leaf - 2, leaf)
         else:
             # the grower's tail (u,w),(w,v),(w,m) subdivided the parent's
@@ -258,7 +260,10 @@ def mp_search(data: DataMatrix,
             if m < n:
                 plan = _graft(plan, (u, v), w, m)
         if m < n:
-            costs = masks.insertion_costs(plan, m + 1)
+            flips = masks.insertion_masks(plan, m + 1)
+            if scored + min(map(int.bit_count, flips.values())) > best:
+                return True
+            costs = {e: masks.weight(mask) for e, mask in flips.items()}
             if scored + min(costs.values()) > best:
                 return True
             parents[m] = scored, plan, costs

@@ -52,7 +52,7 @@ import numpy as np
 from parsiml.characters import (DataMatrix, PaddedInstance, _check_epsilon,
                                 pad_constant_sites)
 # modified_loglik and pattern_likelihoods stay only for the bench tracer
-from parsiml.likelihood import (EdgeProbs, _pattern_logs, modified_loglik,
+from parsiml.likelihood import (_pattern_logs, modified_loglik,
                                 modified_logliks, pattern_likelihoods)
 from parsiml.mlopt import OptimizerConfig, ml_search, optimize_edges
 from parsiml.parsimony import mp_search, parsimony_score, pattern_scores
@@ -109,14 +109,9 @@ def quantities_for(tree: Tree, padded: PaddedInstance) -> ReductionQuantities:
                                padded.pad_count)
 
 
-def normalized_cost(tree: Tree, probs: EdgeProbs,
-                    padded: PaddedInstance) -> float:
-    """Padded dataset cost divided by ln(k + N_c); >= 0, +inf propagates."""
-    return next(normalized_costs(tree, [probs.vector(tree)], padded))
-
-
 def normalized_costs(tree: Tree, vecs, padded: PaddedInstance):
-    """:func:`normalized_cost` at each raw edge vector, lazily, in batches."""
+    """Padded dataset cost divided by ln(k + N_c) at each raw edge vector,
+    lazily, in batches; >= 0, +inf propagates."""
     scale = math.log(padded.padded.k)
     return (c / scale for c in modified_logliks(tree, vecs, padded.padded))
 

@@ -10,6 +10,7 @@ from parsiml import DataMatrix, Tree, parse_newick
 from parsiml.characters import _check_character
 from parsiml.likelihood import _pattern_logs, modified_logliks
 from parsiml.mlopt import _INV_GOLDEN, SCALAR_TOL
+from parsiml.reduction import normalized_costs
 
 
 @pytest.fixture
@@ -55,6 +56,12 @@ def pattern_log_likelihoods(tree: Tree, probs, patterns) -> list[float]:
     path to ln f; -inf only for a pattern some p_e = 0 rules out."""
     patterns = [_check_character(ch, tree.n) for ch in patterns]
     return next(_pattern_logs(tree, [probs.vector(tree)], patterns))
+
+
+def normalized_cost(tree: Tree, probs, padded) -> float:
+    """The library's normalized cost at one ``EdgeProbs``: the padded
+    dataset cost divided by ln(k + N_c); >= 0, +inf propagates."""
+    return next(normalized_costs(tree, [probs.vector(tree)], padded))
 
 
 def all_characters(n: int):

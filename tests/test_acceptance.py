@@ -15,12 +15,12 @@ import numpy as np
 from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig,
                      char_likelihood_exhaustive, char_likelihood_pruning,
                      brute_force_score, enumerate_topologies, fitch_score,
-                     is_constant, normalized_cost, pad_constant_sites,
-                     pad_with_count, parse_newick, quantities_for,
-                     random_instance, verify_claim2, verify_prop1_chain)
+                     is_constant, pad_constant_sites, pad_with_count,
+                     parse_newick, quantities_for, random_instance,
+                     verify_claim2, verify_prop1_chain)
 from parsiml.parsimony import mp_search
 
-from conftest import all_characters
+from conftest import all_characters, normalized_cost
 
 
 def _verdict(number, description, ok, detail=""):

@@ -89,7 +89,7 @@ class TestSearch:
     def test_search_mp_refuses_before_any_insertion_pass(
             self, tmp_path, monkeypatch, matrix, line):
         passes = []
-        monkeypatch.setattr(_PatternMasks, "insertion_costs",
+        monkeypatch.setattr(_PatternMasks, "insertion_masks",
                             lambda *args: passes.append(args))
         (tmp_path / "x.mat").write_text(matrix)
         proc = run_cli("search-mp", "--matrix", str(tmp_path / "x.mat"))
@@ -379,6 +379,15 @@ class TestVerify:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"parsiml: error: {message}\n"
+
+    @pytest.mark.parametrize("check", ["claim1", "claim3"])
+    def test_nc_without_epsilon_refused(self, workdir, check):
+        # their bounds read epsilon, which an --nc padding does not carry
+        proc = run_cli("verify", check, "--matrix", str(workdir / "x.mat"),
+                       "--tree", str(workdir / "t.nwk"), "--nc", "10")
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (1, "", f"parsiml: error: verify {check} requires --epsilon "
+                    "beside --nc\n")
 
     def test_claim_requires_tree(self, workdir):
         proc = run_cli("verify", "claim2",

@@ -110,6 +110,9 @@ CORPUS = [
                                          "--matrix", "x5.mat",
                                          "--tree", "t5.nwk", "--nc", "3",
                                          "--epsilon", "0.5"]),
+    ("refuse claim1 nc without epsilon", ["verify", "claim1",
+                                          "--matrix", "x4.mat",
+                                          "--tree", "t4.nwk", "--nc", "40"]),
     ("refuse claim3 nc without epsilon", ["verify", "claim3",
                                           "--matrix", "x4.mat",
                                           "--tree", "t4.nwk", "--nc", "40"]),

@@ -156,9 +156,9 @@ def rooted_edges(plan):
 
 
 class TestInsertionCost:
-    """A child's score as its parent's plus the price of the new leaf on
-    the subdivided edge, against a full Fitch pass over the child, and a
-    plan derived from the parent's against a fresh one."""
+    """A child's score as its parent's plus the weight of the new leaf's
+    mask on the subdivided edge, against a full Fitch pass over the child,
+    and a plan derived from the parent's against a fresh one."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", ["random", "heavy", "constant"])
@@ -183,14 +183,46 @@ class TestInsertionCost:
                 assert plan[-1] == fresh[-1]  # still hanging from leaf 1
                 children += 1
             if m < n:
-                costs = masks.insertion_costs(plan, m + 1)
-                assert costs == masks.insertion_costs(fresh, m + 1)
-                assert set(costs) == set(edges)
+                flips = masks.insertion_masks(plan, m + 1)
+                assert flips == masks.insertion_masks(fresh, m + 1)
+                assert set(flips) == set(edges)
+                costs = {e: masks.weight(mask) for e, mask in flips.items()}
                 parents[m] = score, plan, costs
                 priced += len(costs)
             else:
                 assert score == parsimony_score(Tree(n, edges), data)
         assert children == priced  # every edge of every partial tree
+
+
+class TestInsertionMasks:
+    """Each edge's mask from the one pass, against grafting the new leaf on
+    that edge and rescoring every pattern with an independent Fitch pass."""
+
+    @pytest.mark.parametrize("kind", ["random", "heavy", "constant", "ties"])
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_mask_is_where_grafting_adds_a_flip(self, n, kind):
+        data = kind_matrix(n + 1, kind, n % 3)
+        chars = [ch for ch, _ in data.patterns]
+        # a binary tree on leaves 1..n, its internal ids moved past leaf n+1
+        tree = random_tree(n, n)
+        tree = Tree(n, [tuple(v + (v > n) for v in e) for e in tree.edges])
+        before = pattern_scores(tree, [ch[:n] for ch in chars])
+        # parsimony_score of the tree on the first n leaves; the truncated
+        # patterns may merge past the 2^53 multiplicity limit
+        score = sum(s * mult for s, (_, mult) in zip(before, data.patterns))
+        masks = _PatternMasks(n + 1, data.patterns)
+        plan = _edge_plan(tree.edges)
+        flips = masks.insertion_masks(plan, n + 1)
+        assert set(flips) == set(tree.edges)
+        for edge, mask in flips.items():
+            grafted = Tree(n + 1, [e for _, kids in
+                                   _graft(plan, edge, 2 * n + 1, n + 1)
+                                   for _, e in kids])
+            after = pattern_scores(grafted, chars)
+            assert [a - b for a, b in zip(after, before)] == \
+                [mask >> j & 1 for j in range(len(chars))]
+            assert masks.weight(mask) == \
+                parsimony_score(grafted, data) - score
 
 
 class TestPatternScores:
@@ -306,15 +338,18 @@ class TestSearch:
     def spied_search(monkeypatch, data):
         """Run ``mp_search`` counting its ``_postorder`` plans and insertion
         passes, the complete trees its bound sees, the trees it cuts before
-        the first complete one, and the partial trees no worse than the
-        best complete tree yielded so far (scored independently)."""
+        the first complete one, the partial trees no worse than the best
+        complete tree yielded so far (scored independently), and the trees
+        the look-ahead cuts on popcounts alone or only once weighed."""
         n = data.n
         masks = _PatternMasks(n, data.patterns)
         seen = {"plans": 0, "passes": 0, "complete": 0, "eligible": 0,
-                "early_cuts": 0}
+                "early_cuts": 0, "popcount_cuts": 0, "weighted_cuts": 0}
         yielded = [None]
+        calls = []  # "pass" and "weight", in the order the search makes them
         postorder, grower = parsimony._postorder, parsimony.enumerate_topologies
-        insertion_costs = _PatternMasks.insertion_costs
+        insertion_masks = _PatternMasks.insertion_masks
+        weight = _PatternMasks.weight
 
         def count_plans(edges, anchor):
             seen["plans"] += 1
@@ -322,11 +357,22 @@ class TestSearch:
 
         def count_passes(self, plan, leaf):
             seen["passes"] += 1
-            return insertion_costs(self, plan, leaf)
+            calls.append("pass")
+            return insertion_masks(self, plan, leaf)
+
+        def count_weights(self, mask):
+            calls.append("weight")
+            return weight(self, mask)
 
         def count_trees(n, cap, prune):
             def spy(edges):
+                start = len(calls)
                 cut = prune(edges)
+                mine = calls[start:]
+                if cut and "pass" in mine:  # cut by the look-ahead
+                    last = len(mine) - mine[::-1].index("pass")
+                    seen["weighted_cuts" if "weight" in mine[last:]
+                         else "popcount_cuts"] += 1
                 score = masks.score(_postorder(edges, 1))
                 if len(edges) == 2 * n - 3:
                     seen["complete"] += 1
@@ -340,7 +386,8 @@ class TestSearch:
             return grower(n, cap, prune=spy)
 
         monkeypatch.setattr(parsimony, "_postorder", count_plans)
-        monkeypatch.setattr(_PatternMasks, "insertion_costs", count_passes)
+        monkeypatch.setattr(_PatternMasks, "insertion_masks", count_passes)
+        monkeypatch.setattr(_PatternMasks, "weight", count_weights)
         monkeypatch.setattr(parsimony, "enumerate_topologies", count_trees)
         result = mp_search(data)
         monkeypatch.undo()
@@ -351,14 +398,26 @@ class TestSearch:
         # derived from its parent's. One insertion pass per greedy leaf, and
         # one per partial tree the score bound keeps: such a tree is no
         # worse than the incumbent, which is never worse than the best
-        # complete tree yielded so far
-        for k in (8, 64):
+        # complete tree yielded so far. The pass counts, greedy's 5 among
+        # them, are pinned: a search that cuts the same trees makes them
+        for k, passes in ((8, 136), (24, 744), (64, 1074)):
             data = random_instance(8, k, 3)
             expected = mp_search(data)
             result, seen = self.spied_search(monkeypatch, data)
             assert result == expected
             assert seen["plans"] == 1
+            assert seen["passes"] == passes
             assert seen["passes"] <= seen["eligible"] + (8 - 3)
+
+    def test_look_ahead_weighs_only_past_the_popcount_cut(self, monkeypatch):
+        # multiplicities of 2^52 + odd make the popcount a loose bound: the
+        # look-ahead cuts on it alone only where the weights' high parts
+        # tie, and otherwise cuts once the masks are weighed
+        data = kind_matrix(8, "heavy", 2)
+        result, seen = self.spied_search(monkeypatch, data)
+        assert result == self.exhaustive(data)
+        assert seen["popcount_cuts"] > 0
+        assert seen["weighted_cuts"] > 0
 
     def test_bound_cuts_most_complete_trees(self, monkeypatch):
         # the greedy incumbent and the one-leaf look-ahead cut early: at
@@ -376,7 +435,7 @@ class TestSearch:
     def test_refusals_come_before_any_insertion_pass(self, monkeypatch, n,
                                                       message):
         passes = []
-        monkeypatch.setattr(_PatternMasks, "insertion_costs",
+        monkeypatch.setattr(_PatternMasks, "insertion_masks",
                             lambda *args: passes.append(args))
         data = DataMatrix.from_columns(n, [tuple(v % 2 for v in range(n))])
         with pytest.raises(ValueError) as refused:

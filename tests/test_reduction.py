@@ -10,15 +10,15 @@ import pytest
 
 from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig,
                      char_likelihood_exhaustive, modified_loglik,
-                     normalized_cost, pad_constant_sites, pad_with_count,
-                     parse_newick, quantities_for, random_instance,
-                     reduction, verify_claim1, verify_claim2, verify_claim3,
+                     pad_constant_sites, pad_with_count, parse_newick,
+                     quantities_for, random_instance, reduction,
+                     verify_claim1, verify_claim2, verify_claim3,
                      verify_prop1_chain)
 from parsiml import likelihood
 from parsiml.parsimony import mp_search
 from parsiml.reduction import CSV_FIELDS, _grade, format_cell
 
-from conftest import caterpillar, exact_cost
+from conftest import caterpillar, exact_cost, normalized_cost
 
 
 @pytest.fixture

@@ -5,7 +5,10 @@ of every op's ``signature(run())`` in batch order, with each float written
 as ``float.hex`` so that a one-ulp change shows. Two checkouts whose lines
 match produce the same benchmark outputs bit for bit at seeds 0 and 1.
 
-    python tools/fingerprint.py
+    python tools/fingerprint.py [WORKLOAD ...]
+
+With no names it fingerprints every workload; naming some (``mp-n8``, say)
+checks just those, in the order given.
 
 It imports ``bench/workloads.py`` and the package from ``src/`` beside it,
 runs the full (not smoke) batches, and writes no file, bytecode included.
@@ -33,19 +36,23 @@ def exact(value):
     return value
 
 
-def main() -> None:
+def main(names) -> None:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from workloads import WORKLOADS
 
-    for name, build in WORKLOADS.items():
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        sys.exit(f"fingerprint: unknown workload {unknown[0]!r} "
+                 f"(choose from {', '.join(WORKLOADS)})")
+    for name in names or WORKLOADS:
         for seed in SEEDS:
             digest = hashlib.md5()
-            for op in build(seed, False).ops:
+            for op in WORKLOADS[name](seed, False).ops:
                 digest.update(json.dumps(exact(op.signature(op.run())),
                                          sort_keys=True).encode())
             print(f"{name} seed={seed} {digest.hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
