@@ -247,6 +247,8 @@ def _claim(verify, *keywords):
         if not args.tree:
             raise UsageError(f"verify {args.check} requires --tree")
         reads = "epsilon" in keywords  # claim1 and claim3 need it beside --nc
+        if reads and args.epsilon is None and args.nc is None:
+            raise UsageError(f"verify {args.check} requires --epsilon")
         if args.nc is not None and reads == (args.epsilon is None):
             verb = "requires" if reads else "does not read"
             raise UsageError(

@@ -19,7 +19,9 @@ Two evaluators are provided on purpose: a term-by-term sum over
 nothing but the model, so agreement is evidence, not tautology. The DP
 (:func:`pattern_values`) runs over a batch of edge vectors times every
 pattern at once with numpy, in the scalar recursion's operation order, so
-batching changes no bit of any value. Its values become ln f in one place
+batching changes no bit of any value; a kept pass (:class:`PathDP`)
+recomputes only the path from a moved edge to the root, bit for bit. Its
+values become ln f in one place
 (:func:`_pattern_logs`), underflow rescue included, and the dataset cost is
 one left-to-right sum over those logs: its summation order is part of every
 reported number. That sum, in :func:`modified_logliks`, is the one
@@ -89,42 +91,88 @@ class EdgeProbs:
         return f"EdgeProbs({{{inner}}})"
 
 
-def pattern_values(plan, vecs, states) -> np.ndarray:
-    """Every pattern's likelihood under every edge vector: a (B, P) array.
+def _hang(p, c0, c1):
+    """The pair a child's (like0, like1) hangs on its parent's edge."""
+    stay = 1.0 - p
+    return stay * c0 + p * c1, p * c0 + stay * c1
 
-    ``plan`` is a postorder :meth:`Tree.rooted_plan` from any anchor (a
-    leaf anchor's own state selects the component); ``vecs`` holds B raw
-    edge vectors in the tree's edge order, ``states`` P patterns. Entry
-    (b, j) runs the scalar recursion's IEEE operations in its order, so it
-    equals the one-vector, one-pattern value bit for bit.
-    """
+
+def _product(children, hung, i=None, pair=None):
+    """Children's hung pairs, edge ``i``'s replaced by ``pair``, multiplied
+    in plan order; the first starts the product (the recursion's 1.0 * y)."""
+    like = None
+    for _, ei in children:
+        h = pair if ei == i else hung[ei]
+        like = h if like is None else (like[0] * h[0], like[1] * h[1])
+    return like
+
+
+def _down_pass(plan, vecs, states, keep=False):
+    """``(down, hung)``: each vertex's (like0, like1) and each edge's hung
+    pair at B raw edge vectors and P ``states``, (B, P) arrays (a leaf's
+    (P,)), up a postorder ``plan``. Without ``keep`` a pair goes once used."""
     vecs = np.asarray(vecs, dtype=float)
-    ones = np.asarray(states) != 0
-    if ones.size == 0:
-        return np.zeros((len(vecs), 0))
-    leaf1 = ones.T.astype(float)
+    leaf1 = (np.asarray(states) != 0).T.astype(float)
     leaf0 = 1.0 - leaf1
-    down: dict[int, tuple] = {}
-    root = plan[-1][0]
+    down = {v: (leaf0[v - 1], leaf1[v - 1])
+            for v, children in plan if not children}
+    hung: dict[int, tuple] = {}
     for v, children in plan:
-        if not children:
-            down[v] = (leaf0[v - 1], leaf1[v - 1])
-            continue
-        like = None
-        for c, ei in children:
-            c0, c1 = down.pop(c)
-            p = vecs[:, ei, None]
-            stay = 1.0 - p
-            pair = (stay * c0 + p * c1, p * c0 + stay * c1)
-            # the first child starts the product: the recursion's 1.0 * y
-            # is y exactly
-            like = pair if like is None else (like[0] * pair[0],
-                                              like[1] * pair[1])
-        down[v] = like
-    like0, like1 = down[root]
-    if root <= ones.shape[1]:
-        return np.where(ones[:, root - 1], like1, like0)
-    return like0 + like1
+        if children:
+            hung = hung if keep else {}
+            for c, ei in children:
+                hung[ei] = _hang(vecs[:, ei, None],
+                                 *(down[c] if keep else down.pop(c)))
+            down[v] = _product(children, hung)
+    return down, hung
+
+
+def _root_values(plan, like, states):
+    """Pattern values from the root's pair; a leaf root's state picks one."""
+    root = plan[-1][0]
+    if root <= states.shape[-1]:
+        return np.where(states[:, root - 1] != 0, like[1], like[0])
+    return like[0] + like[1]
+
+
+def pattern_values(plan, vecs, states) -> np.ndarray:
+    """Every pattern's likelihood under every edge vector, a (B, P) array:
+    :func:`_down_pass` and its root combine. Entry (b, j) runs the scalar
+    recursion's IEEE operations in its order: it is that value bit for bit."""
+    states = np.asarray(states)
+    if states.size == 0:
+        return np.zeros((len(vecs), 0))
+    down, _ = _down_pass(plan, vecs, states)
+    return _root_values(plan, down[plan[-1][0]], states)
+
+
+class PathDP:
+    """A kept :func:`_down_pass` at its own copy of ``vecs``. Moving one edge
+    recomputes only its path to the root, over the kept sibling factors in
+    plan child order, so every value is a full pass's bit for bit."""
+
+    def __init__(self, plan, vecs, states):
+        self.plan, self.states = plan, np.asarray(states)
+        self.vecs = np.array(vecs, dtype=float)
+        self.down, self.hung = _down_pass(plan, self.vecs, states, keep=True)
+        above = {c: ei for _, children in plan for c, ei in children}
+        # per edge: lower end, upper end, its children, the edge above it
+        self.links = {ei: (c, u, children, above.get(u))
+                      for u, children in plan for c, ei in children}
+
+    def values(self, i, p, store=False):
+        """Pattern values with edge ``i`` at ``p``, shaped (..., B, 1); with
+        ``store`` (``p`` written into ``vecs``) the path's pairs are kept."""
+        like = self.down[self.links[i][0]]
+        while True:
+            _, u, children, above = self.links[i]
+            pair = _hang(p, *like)
+            like = _product(children, self.hung, i, pair)
+            if store:
+                self.hung[i], self.down[u] = pair, like
+            if above is None:
+                return _root_values(self.plan, like, self.states)
+            i, p = above, self.vecs[:, above, None]
 
 
 def _checked_vector(edges, values) -> list[float]:

@@ -6,10 +6,11 @@ term carries the factor p or 1-p exactly once), so each coordinate step
 profiles the pattern values at p=0 and p=1 and then runs one fused 1-D
 solve, :func:`_edge_solve`: a golden section that scores the blended cost
 -sum w ln((1-x) f0 + x f1) itself, with no call per term or per point into
-the likelihood module. The starts of a fit run in lockstep, one batched DP
-pass per edge for all of them, each taking exactly the steps it takes
-alone. Costs come from ``modified_logliks`` and the per-edge profiles from
-``pattern_values``. The 1-D solve stays scalar Python with ``math.log``:
+the likelihood module. The starts of a fit run in lockstep, each taking
+exactly the steps it takes alone. They share one kept DP pass per sweep
+(``PathDP``); each edge then recomputes only its path to the root, p=0 and
+p=1 stacked, and refreshes the kept pass if a start moved, bit for bit as a
+full pass. The 1-D solve stays scalar Python with ``math.log``:
 ``np.log`` rounds differently, and any roundoff change could reorder
 topologies tied within ``TIE_TOL``, and so change the reported winner.
 
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from parsiml.characters import DataMatrix
-from parsiml.likelihood import (CHUNK, EdgeProbs, modified_logliks,
-                                pattern_values)
+from parsiml.likelihood import CHUNK, EdgeProbs, PathDP, modified_logliks
 from parsiml.parsimony import parsimony_score
 from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, canonical_newick,
                            enumerate_topologies)
@@ -142,8 +142,9 @@ def _coordinate_descent(tree: Tree, data: DataMatrix, starts,
     """Coordinate descent from every start in lockstep.
 
     Returns (vector, value, converged, sweeps) per start, each exactly what
-    that start reaches alone: the starts share only the DP passes. A start
-    leaves the batch once a sweep improves it by less than ``TOL``.
+    that start reaches alone: the starts share only the DP passes, so at
+    most ``CHUNK // 2`` are given (a path pass holds two rows per start). A
+    start leaves the batch once a sweep improves it by less than ``TOL``.
     """
     plan = tree.rooted_plan()
     states = np.array([ch for ch, _ in data.patterns])
@@ -153,18 +154,20 @@ def _coordinate_descent(tree: Tree, data: DataMatrix, starts,
     active = runs
     for sweep in range(1, MAX_SWEEPS + 1):
         before = [run[1] for run in active]
+        dp = PathDP(plan, [run[0] for run in active], states)
+        ends = np.repeat([[[0.0]], [[1.0]]], len(active), axis=1)
         for i in range(len(tree.edges)):
-            # each vector with p_i = 0 and with p_i = 1: the pattern values
+            # each vector's pattern values at p_i = 0 and at p_i = 1: those
             # at any p_i are their affine blend, which ``_edge_solve`` scores
-            rows = np.array([run[0] for run in active for _ in (0, 1)])
-            rows[0::2, i] = 0.0
-            rows[1::2, i] = 1.0
-            values = [row for k in range(0, len(rows), CHUNK) for row in
-                      pattern_values(plan, rows[k:k + CHUNK], states).tolist()]
-            for run, at0, at1 in zip(active, values[0::2], values[1::2]):
-                x, fx = _edge_solve(weights, at0, at1)
+            at0, at1 = dp.values(i, ends).tolist()
+            moved = False
+            for run, row, v0, v1 in zip(active, dp.vecs, at0, at1):
+                x, fx = _edge_solve(weights, v0, v1)
                 if fx < run[1]:
-                    run[0][i], run[1] = x, fx
+                    run[0][i] = row[i] = x
+                    run[1], moved = fx, True
+            if moved:
+                dp.values(i, dp.vecs[:, i, None], store=True)
         # resync against 1-D roundoff drift
         resynced = modified_logliks(tree, [run[0] for run in active], data)
         for run, value, old in zip(active, resynced, before):
@@ -199,11 +202,11 @@ def optimize_edges(tree: Tree, data: DataMatrix,
     """
     starts = _starting_points(tree, data, config)
     start_values = tuple(modified_logliks(tree, starts, data))
-    best = None
-    for run in _coordinate_descent(tree, data, starts, start_values):
-        if best is None or run[1] < best[1]:
-            best = run
-    vec, val, converged, sweeps = best
+    half = CHUNK // 2
+    runs = [run for k in range(0, len(starts), half) for run in
+            _coordinate_descent(tree, data, starts[k:k + half],
+                                start_values[k:k + half])]
+    vec, val, converged, sweeps = min(runs, key=lambda run: run[1])
     return MLResult(tree, EdgeProbs.from_vector(tree, vec), val,
                     converged, sweeps, start_values)
 

@@ -368,7 +368,9 @@ class TestVerify:
             "--epsilon beside --nc\n"
 
     @pytest.mark.parametrize("check,tree,message", [
-        ("claim1", True, "verify claim1 requires --epsilon or --nc"),
+        ("claim1", True, "verify claim1 requires --epsilon"),
+        ("claim2", True, "verify claim2 requires --epsilon or --nc"),
+        ("claim3", True, "verify claim3 requires --epsilon"),
         ("prop1", False, "verify prop1 requires --epsilon"),
     ])
     def test_missing_padding_option_refused(self, workdir, check, tree,

@@ -7,9 +7,9 @@ import pytest
 from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig, canonical_newick,
                      enumerate_topologies, ml_search, modified_loglik,
                      optimize_edges, pad_constant_sites, pad_with_count,
-                     random_instance)
-from parsiml import mlopt
-from parsiml.likelihood import modified_logliks
+                     parse_newick, random_instance)
+from parsiml import likelihood, mlopt
+from parsiml.likelihood import CHUNK, modified_logliks
 from parsiml.mlopt import (MAX_SWEEPS, TOL, _coordinate_descent, _edge_solve,
                            _starting_points)
 
@@ -118,11 +118,8 @@ class TestEdgeSolve:
             data = pad_constant_sites(random_instance(5, 3, 0), 0.5).padded
             trees = list(enumerate_topologies(5))
         else:
-            # N_c exact at eps = 0.15, as claims-ladder pads: the least N
-            # with N^3 >= M^20, M = 32
-            pad_count = 10_822_639_410
-            assert pad_count ** 3 >= 32 ** 20 > (pad_count - 1) ** 3
-            data = pad_with_count(random_instance(16, 32, 0), pad_count).padded
+            assert LADDER_PAD ** 3 >= 32 ** 20 > (LADDER_PAD - 1) ** 3
+            data = pad_with_count(random_instance(16, 32, 0), LADDER_PAD).padded
             trees = [caterpillar(16)]
         seen = []
 
@@ -196,14 +193,40 @@ class TestOptimizeEdges:
         assert optimize_edges(two_leaf, data).value <= val + 1e-6
 
 
+# N_c exact at eps = 0.15, as claims-ladder pads: the least N with
+# N^3 >= M^20, M = 32
+LADDER_PAD = 10_822_639_410
+
+
+LOCKSTEP_TREES = {
+    "n=5": (caterpillar(5), 1), "n=6": (random_tree(6, 2), 2),
+    "n=4": (random_tree(4, 3), 3), "n=12": (random_tree(12, 4), 4),
+    # vertices of degree 4 and 5
+    "multifurcating": (parse_newick("((1,2,3),4,(5,6,7,8),9);"), 5),
+    "n=3": (random_tree(3, 6), 6),
+}
+
+
+def lockstep_case(name):
+    """(tree, data, config) for each shape the lockstep fit is checked on."""
+    if name == "n=16,exact-nc":
+        data = pad_with_count(random_instance(16, 32, 0), LADDER_PAD).padded
+        return caterpillar(16), data, OptimizerConfig(restarts=2, seed=0)
+    if name == "n=2":  # the plan is rooted at leaf 1
+        tree, seed = random_tree(2, 7), 7
+        base = DataMatrix.from_columns(2, [(0, 1), (1, 1), (1, 0), (0, 1)])
+    else:
+        tree, seed = LOCKSTEP_TREES[name]
+        base = random_instance(tree.n, 6, seed)
+    data = pad_constant_sites(base, 0.5).padded
+    return tree, data, OptimizerConfig(restarts=6, seed=seed)
+
+
 class TestLockstep:
-    @pytest.mark.parametrize("tree,seed", [(caterpillar(5), 1),
-                                           (random_tree(6, 2), 2),
-                                           (random_tree(4, 3), 3)],
-                             ids=["n=5", "n=6", "n=4"])
-    def test_equals_single_start_fits(self, tree, seed):
-        data = pad_constant_sites(random_instance(tree.n, 6, seed), 0.5).padded
-        config = OptimizerConfig(restarts=6, seed=seed)
+    @pytest.mark.parametrize("case", ["n=5", "n=6", "n=4", "n=16,exact-nc",
+                                      "n=12", "multifurcating", "n=3", "n=2"])
+    def test_equals_single_start_fits(self, case):
+        tree, data, config = lockstep_case(case)
         starts = _starting_points(tree, data, config)
         start_values = list(modified_logliks(tree, starts, data))
         lockstep = _coordinate_descent(tree, data, starts, start_values)
@@ -215,6 +238,76 @@ class TestLockstep:
         best = optimize_edges(tree, data, config)
         assert best.value == min(value for _, value, _, _ in scalar)
         assert best.start_values == tuple(start_values)
+
+    def test_full_pass_once_per_sweep_and_paths_below_e(self, monkeypatch):
+        # a fit runs one full DP pass per sweep; each edge then recomputes
+        # only the vertices from its upper end to the root, and on the
+        # caterpillar these average fewer than E per edge
+        tree = caterpillar(32)
+        data = pad_constant_sites(random_instance(32, 64, 0), 0.15).padded
+        plan = tree.rooted_plan()
+        depth = {plan[-1][0]: 1}
+        for u, children in reversed(plan):
+            for c, _ in children:
+                depth[c] = depth[u] + 1
+        # vertex products a path pass from edge i forms: one per vertex
+        # from its upper end to the root
+        path = {ei: depth[u] for u, children in plan for _, ei in children}
+        products = [0]  # every vertex product formed, full pass or path
+        full, steps = [], []  # per full pass, per path pass: (edge, count)
+        real_product = likelihood._product
+
+        def product(*args):
+            products[0] += 1
+            return real_product(*args)
+
+        class Spy(likelihood.PathDP):
+            def __init__(self, *args):
+                before = products[0]
+                super().__init__(*args)
+                full.append(products[0] - before)
+
+            def values(self, i, p, store=False):
+                before = products[0]
+                got = super().values(i, p, store)
+                steps.append((i, products[0] - before))
+                return got
+
+        monkeypatch.setattr(likelihood, "_product", product)
+        monkeypatch.setattr(mlopt, "PathDP", Spy)
+        config = OptimizerConfig(restarts=2)
+        starts = _starting_points(tree, data, config)
+        runs = _coordinate_descent(tree, data, starts,
+                                   list(modified_logliks(tree, starts, data)))
+        n_edges = len(tree.edges)
+        sweeps = max(sweeps for _, _, _, sweeps in runs)
+        # one full pass per sweep, each forming every internal vertex once
+        assert full == [tree.n - 2] * sweeps
+        assert all(count == path[i] for i, count in steps)
+        # a profile per edge and sweep, and a refresh where a start moved
+        profiles = sweeps * n_edges
+        assert profiles < len(steps) <= 2 * profiles
+        assert sum(count for _, count in steps) < n_edges * profiles
+
+    def test_starts_past_the_row_bound_run_in_groups(self, monkeypatch):
+        # a path pass holds two rows per start, so a fit hands the lockstep
+        # at most CHUNK // 2 starts at a time, each still fitted as alone
+        tree, data, _ = lockstep_case("n=4")
+        config = OptimizerConfig(restarts=CHUNK // 2 + 3, seed=3)
+        batches = []
+
+        class Spy(likelihood.PathDP):
+            def __init__(self, plan, vecs, states):
+                batches.append(len(vecs))
+                super().__init__(plan, vecs, states)
+
+        monkeypatch.setattr(mlopt, "PathDP", Spy)
+        best = optimize_edges(tree, data, config)
+        assert max(batches) == CHUNK // 2
+        starts = _starting_points(tree, data, config)
+        alone = [_coordinate_descent(tree, data, [s], [v])[0]
+                 for s, v in zip(starts, best.start_values)]
+        assert best.value == min(value for _, value, _, _ in alone)
 
     def test_starts_leave_the_batch_at_their_own_sweep(self):
         tree = caterpillar(5)
