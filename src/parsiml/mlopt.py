@@ -7,7 +7,7 @@ profiles the pattern values at p=0 and p=1 and then runs one fused 1-D
 solve, :func:`_edge_solve`: a golden section that scores the blended cost
 -sum w ln((1-x) f0 + x f1) itself, with no call per term or per point into
 the likelihood module. The starts of a fit run in lockstep, each taking
-exactly the steps it takes alone. They share one kept DP pass per sweep
+exactly the steps it takes alone. They share one kept DP pass per fit
 (``PathDP``); each edge then recomputes only its path to the root, p=0 and
 p=1 stacked, and refreshes the kept pass if a start moved, bit for bit as a
 full pass. The 1-D solve stays scalar Python with ``math.log``:
@@ -142,42 +142,40 @@ def _coordinate_descent(tree: Tree, data: DataMatrix, starts,
     """Coordinate descent from every start in lockstep.
 
     Returns (vector, value, converged, sweeps) per start, each exactly what
-    that start reaches alone: the starts share only the DP passes, so at
-    most ``CHUNK // 2`` are given (a path pass holds two rows per start). A
-    start leaves the batch once a sweep improves it by less than ``TOL``.
+    that start reaches alone: the starts share only the fit's one kept pass,
+    so at most ``CHUNK // 2`` are given (a path pass holds two rows each). A
+    start stops once a sweep improves it by less than ``TOL``; its row stays.
     """
     plan = tree.rooted_plan()
     states = np.array([ch for ch, _ in data.patterns])
     weights = [float(mult) for _, mult in data.patterns]
-    runs = [[[float(x) for x in start], value, False, MAX_SWEEPS]
-            for start, value in zip(starts, start_values)]
-    active = runs
+    dp = PathDP(plan, starts, states)
+    ends = np.repeat([[[0.0]], [[1.0]]], len(dp.vecs), axis=1)
+    runs = [[value, False, MAX_SWEEPS] for value in start_values]
     for sweep in range(1, MAX_SWEEPS + 1):
-        before = [run[1] for run in active]
-        dp = PathDP(plan, [run[0] for run in active], states)
-        ends = np.repeat([[[0.0]], [[1.0]]], len(active), axis=1)
+        before = [run[0] for run in runs]
         for i in range(len(tree.edges)):
             # each vector's pattern values at p_i = 0 and at p_i = 1: those
             # at any p_i are their affine blend, which ``_edge_solve`` scores
             at0, at1 = dp.values(i, ends).tolist()
             moved = False
-            for run, row, v0, v1 in zip(active, dp.vecs, at0, at1):
-                x, fx = _edge_solve(weights, v0, v1)
-                if fx < run[1]:
-                    run[0][i] = row[i] = x
-                    run[1], moved = fx, True
+            for run, row, v0, v1 in zip(runs, dp.vecs, at0, at1):
+                if not run[1]:
+                    x, fx = _edge_solve(weights, v0, v1)
+                    if fx < run[0]:
+                        row[i], run[0], moved = x, fx, True
             if moved:
                 dp.values(i, dp.vecs[:, i, None], store=True)
         # resync against 1-D roundoff drift
-        resynced = modified_logliks(tree, [run[0] for run in active], data)
-        for run, value, old in zip(active, resynced, before):
-            run[1] = value
-            if old - value < TOL:
-                run[2:] = True, sweep
-        active = [run for run in active if not run[2]]
-        if not active:
+        resynced = modified_logliks(tree, dp.vecs, data)
+        for run, value, old in zip(runs, resynced, before):
+            if not run[1]:
+                run[0] = value
+                if old - value < TOL:
+                    run[1:] = True, sweep
+        if all(run[1] for run in runs):
             break
-    return [tuple(run) for run in runs]
+    return [(row.tolist(), *run) for row, run in zip(dp.vecs, runs)]
 
 
 def _starting_points(tree: Tree, data: DataMatrix,

@@ -2,13 +2,14 @@
 
 The score of a character on a tree is the smallest number of edges whose
 endpoints differ, over all ways of assigning states to the internal
-vertices. The fast path is one set rule run on every pattern at once, with
-bit j of a Python int standing for pattern j; the brute-force path, kept as
-an independent oracle, is a minimum over ``trees._extensions``. Both take
-their characters through ``characters._check_character``. The fast path
-walks plans from ``trees._postorder``; the branch and bound plans only the
-3-leaf star, grafts each kept tree's plan from its parent's, and scores its
-children from one flat pass of flip masks, weighed past a popcount cut.
+vertices. The fast path runs one majority rule at every vertex, on every
+pattern at once, bit j of a Python int standing for pattern j; the
+brute-force path, kept as an independent oracle, is a minimum over
+``trees._extensions``. Both take their characters through
+``characters._check_character``. The fast path walks plans from
+``trees._postorder``; the branch and bound plans only the 3-leaf star,
+grafts each kept tree's plan from its parent's, and scores its children
+from one flat pass of flip masks, weighed past a popcount cut.
 """
 
 from __future__ import annotations
@@ -16,16 +17,6 @@ from __future__ import annotations
 from parsiml.characters import DataMatrix, _check_character
 from parsiml.trees import (DEFAULT_TOPOLOGY_CAP, Tree, _extensions,
                            _postorder, canonical_newick, enumerate_topologies)
-
-
-def _join(a, b, full: int):
-    """The two-child set rule on every pattern at once: intersect, else
-    union. Returns the joined (zeros, ones) sets and the mask of the
-    patterns that pay a flip."""
-    both0 = a[0] & b[0]
-    both1 = a[1] & b[1]
-    miss = full & ~(both0 | both1)
-    return (both0 | miss, both1 | miss), miss
 
 
 class _PatternMasks:
@@ -104,12 +95,12 @@ class _PatternMasks:
     def misses(self, plan) -> list[int]:
         """Masks of the patterns paying a flip, one mask per flip paid.
 
-        The set rule of :func:`fitch_score`, run on every pattern at once.
+        The majority rule of :func:`fitch_score` on every pattern at once.
         ``plan`` is shaped like :meth:`Tree.rooted_plan`: (vertex, children)
         pairs, children first, each child a (vertex, edge) pair whose edge
         slot is not read. The tree may be partial: its leaves are whichever
-        of 1..n it holds. A leaf's set is its own state, so a leaf may also
-        hang children (the root of the two-leaf tree).
+        of 1..n it holds. A leaf hangs one child at most, so with its own
+        state as one more set a leaf root counts exactly as any vertex.
         """
         full, n, zeros, ones = self.full, self.n, self.zeros, self.ones
         sets: dict[int, tuple[int, int]] = {}
@@ -120,39 +111,34 @@ class _PatternMasks:
                 continue
             kids = [sets[c] for c, _ in children]
             if v <= n:
-                s0, s1 = sets[v] = (zeros[v], ones[v])
-                misses.extend((s0 & ~k0) | (s1 & ~k1) for k0, k1 in kids)
-            elif len(kids) == 2:
-                sets[v], miss = _join(*kids, full)
-                misses.append(miss)
-            else:
-                # at_s[t]: the patterns where at least t children hold s
-                at0 = [full]
-                at1 = [full]
-                for k0, k1 in kids:
-                    at0.append(0)
-                    at1.append(0)
-                    for t in range(len(at0) - 1, 0, -1):
-                        at0[t] |= at0[t - 1] & k0
-                        at1[t] |= at1[t - 1] & k1
-                lose0 = at1[1] & ~at0[1]
-                lose1 = at0[1] & ~at1[1]
-                for t in range(2, len(at0)):
-                    misses.append(full & ~(at0[t] | at1[t]))
-                    lose0 |= at1[t] & ~at0[t]
-                    lose1 |= at0[t] & ~at1[t]
-                sets[v] = (full & ~lose0, full & ~lose1)
+                kids.append((zeros[v], ones[v]))
+            # at_s[t]: the patterns where at least t sets hold s
+            at0 = [full]
+            at1 = [full]
+            for k0, k1 in kids:
+                at0.append(0)
+                at1.append(0)
+                for t in range(len(at0) - 1, 0, -1):
+                    at0[t] |= at0[t - 1] & k0
+                    at1[t] |= at1[t - 1] & k1
+            lose0 = at1[1] & ~at0[1]
+            lose1 = at0[1] & ~at1[1]
+            for t in range(2, len(at0)):
+                misses.append(full & ~(at0[t] | at1[t]))
+                lose0 |= at1[t] & ~at0[t]
+                lose1 |= at0[t] & ~at1[t]
+            sets[v] = (full & ~lose0, full & ~lose1)
         return misses
 
 
 def fitch_score(tree: Tree, ch) -> int:
     """Minimum number of state flips for one character, exactly.
 
-    Bottom-up over the tree anchored at the canonical root: each vertex keeps
-    the set of states attained by the largest number of child subtrees, and
-    pays one flip per child falling outside that majority. On binary trees
-    this is the classical intersect-else-union rule; on multifurcations the
-    majority count is what keeps the result equal to the true minimum.
+    Bottom-up from the canonical root, one majority rule (Hartigan 1973) at
+    every vertex: it keeps the states held by the most of its sets, its
+    children's and, at a leaf, its own state, and pays a flip per set
+    outside that majority. With two sets this is Fitch's intersect-else-union
+    rule; with more, the count keeps the result the true minimum.
     """
     return pattern_scores(tree, [ch])[0]
 

@@ -239,10 +239,10 @@ class TestLockstep:
         assert best.value == min(value for _, value, _, _ in scalar)
         assert best.start_values == tuple(start_values)
 
-    def test_full_pass_once_per_sweep_and_paths_below_e(self, monkeypatch):
-        # a fit runs one full DP pass per sweep; each edge then recomputes
-        # only the vertices from its upper end to the root, and on the
-        # caterpillar these average fewer than E per edge
+    def test_full_pass_once_per_fit_and_paths_below_e(self, monkeypatch):
+        # a fit runs one full DP pass, kept across its sweeps; each edge then
+        # recomputes only the vertices from its upper end to the root, and
+        # on the caterpillar these average fewer than E per edge
         tree = caterpillar(32)
         data = pad_constant_sites(random_instance(32, 64, 0), 0.15).padded
         plan = tree.rooted_plan()
@@ -281,8 +281,8 @@ class TestLockstep:
                                    list(modified_logliks(tree, starts, data)))
         n_edges = len(tree.edges)
         sweeps = max(sweeps for _, _, _, sweeps in runs)
-        # one full pass per sweep, each forming every internal vertex once
-        assert full == [tree.n - 2] * sweeps
+        # one full pass per call, forming every internal vertex once
+        assert full == [tree.n - 2]
         assert all(count == path[i] for i, count in steps)
         # a profile per edge and sweep, and a refresh where a start moved
         profiles = sweeps * n_edges

@@ -254,6 +254,33 @@ class TestPatternScores:
             pattern_scores(quartet, [(0, 1, 1)])
 
 
+class TestEveryAnchor:
+    """The majority rule hung from every vertex, leaves included: a leaf
+    root's own state is one more set, and its plan scores as any other."""
+
+    @staticmethod
+    def assert_every_anchor(tree):
+        chars = list(all_characters(tree.n))
+        masks = _PatternMasks(tree.n, [(ch, 1) for ch in chars])
+        expected = [brute_force_score(tree, ch) for ch in chars]
+        for anchor in sorted(tree.vertices):
+            misses = masks.misses(tree.rooted_plan(anchor))
+            assert [sum(m >> j & 1 for m in misses)
+                    for j in range(len(chars))] == expected, anchor
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_binary_topology(self, n):
+        trees = (enumerate_topologies(n) if n > 2
+                 else [parse_newick("(1,2);")])
+        for tree in trees:
+            self.assert_every_anchor(tree)
+
+    @pytest.mark.parametrize("text", ["(1,2,(3,4,5));", "(1,(2,3,4,5),6,7);",
+                                      "(1,2,3,4,5);", "((1,2,3),(4,5,6));"])
+    def test_polytomies(self, text):
+        self.assert_every_anchor(parse_newick(text))
+
+
 class TestMatrixScore:
     def test_weighted_sum(self, quartet, quartet_matrix):
         assert parsimony_score(quartet, quartet_matrix) == 3
