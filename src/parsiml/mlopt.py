@@ -12,7 +12,11 @@ exactly the steps it takes alone. They share one kept DP pass per fit
 p=1 stacked, and refreshes the kept pass if a start moved, bit for bit as a
 full pass. The 1-D solve stays scalar Python with ``math.log``:
 ``np.log`` rounds differently, and any roundoff change could reorder
-topologies tied within ``TIE_TOL``, and so change the reported winner.
+topologies tied within ``TIE_TOL``, and so change the reported winner. Yet
+the cost is convex along an edge, so a certified slope beating twice a cost
+pass's roundoff bound K (G + sum w), K = 2 (P + 8) 2^-53, skips most opening
+steps, each skipped point losing strictly to a kept one. A profile outside
+the bound (a value above 1, an f0 + f1 below 2^-900) skips none.
 
 Coordinate descent only guarantees a coordinate-wise optimum. That caveat is
 the whole point of the problem this package studies, so it is surfaced, not
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import add
 
 import numpy as np
 
@@ -74,27 +79,76 @@ class MLResult:
     start_values: tuple[float, ...] = field(default=(), repr=False)
 
 
-def _edge_solve(weights, at0, at1) -> tuple[float, float]:
-    """Minimize -sum w ln((1-x) f0 + x f1) over x in [0, 1/2].
+def _opening(terms, weights, f_lo, f_hi, a, b, x1, x2):
+    """Replay the steps certified slopes decide; see :func:`_edge_solve`."""
+    left, k = None, (len(terms) + 8) * 2.0 ** -52
+    err_hi, err_lo = (2.0 * k * (f + sum(weights)) for f in (f_hi, f_lo))
+    # anchors: g' >= d_hi > 0 on [hi, 1/2] and g' <= -d_lo < 0 on [0, lo];
+    # with a = 0, x2 - x1 = _INV_GOLDEN x1, so p g'(p) = aim covers x1 >= p
+    lo, hi, d_lo, d_hi, seen = 0.0, 0.5, 0.0, 0.0, {}
+    aim, p = 2.0 * err_hi / _INV_GOLDEN, SCALAR_TOL / 4
+    for probe in range(10):  # the first p is below every x1 compared
+        stay, g1, g2, size = 1.0 - p, 0.0, 0.0, 0.0
+        for w, v0, v1 in terms:
+            r = (v0 - v1) / (stay * v0 + p * v1)
+            q = w * r
+            g1 += q
+            g2 += q * r
+            size += abs(q)
+        d = abs(g1) - k * size
+        if d <= 0.0:  # p is within roundoff of the minimum
+            break
+        lo, d_lo, hi, d_hi = (lo, d_lo, p, d) if g1 > 0.0 else (p, d, hi, d_hi)
+        h = g1 + p * g2  # Newton on p g'(p) = aim, one target per side
+        seen[g1 > 0.0] = p - (p * g1 - aim) / h if h > 0.0 else -1.0
+        while b - a > SCALAR_TOL:  # each step as the plain loop takes it
+            if x1 >= hi and d_hi * (x2 - x1) > err_hi:
+                b, x2, x1, left = x2, x1, x2 - _INV_GOLDEN * (x2 - a), True
+            elif x2 <= lo and d_lo * (x2 - x1) > err_lo:
+                a, x1, x2, left = x1, x2, x1 + _INV_GOLDEN * (b - x1), False
+            else:
+                break
+        if b - a <= SCALAR_TOL or x1 >= hi or x2 <= lo:
+            break  # done, or the anchor's margin ran out
+        # left steps: the nearest Newton target; else x1, then near 1/2
+        p = (min([t for t in seen.values() if lo < t <= x1], default=None)
+             if hi < 0.25 else (x1, 0.5 - SCALAR_TOL / 4, None)[min(probe, 2)])
+        if p is None:
+            break
+    return a, b, x1, x2, left
 
-    The 1-D restriction of the cost along one edge, given each pattern's
-    value at p_e = 0 (``at0``) and p_e = 1 (``at1``), by golden section.
-    The endpoints 0 and 1/2 are scored too, so boundary minima come out
-    exact, and the best point ever scored is returned, not the midpoint of
-    the final bracket. Each point's cost sums the zipped terms left to
-    right through ``math.log``: the same operations as the reference the
-    tests hold it to, so a fit's bits, and with them which of the
-    topologies tied within ``TIE_TOL`` wins, do not move. The sum is
-    written out at both of its sites, not called: a call per point cost
-    prop1-n5 about 7% of its throughput.
+
+def _edge_solve(weights, at0, at1) -> tuple[float, float]:
+    """Minimize g(x) = -sum w ln((1-x) f0 + x f1) over x in [0, 1/2].
+
+    The cost along one edge, given each pattern's value at p_e = 0
+    (``at0``) and p_e = 1 (``at1``), by golden section. 0 and 1/2 are
+    scored too, and the best point scored is returned. Each cost sums the
+    terms left to right through ``math.log``, as the reference the tests
+    hold it to does, so a fit's bits, and which topology tied within
+    ``TIE_TOL`` wins, do not move. The sum is written out at both of its
+    sites: a call per point cost prop1-n5 about 7% of its throughput.
+
+    Steps a certified slope decides are replayed, not scored
+    (:func:`_opening`). With every value <= 1, a cost pass is within
+    Err = K (G + sum w) of g where g <= G, K = 2 (P + 8) 2^-53 for P
+    patterns (the blend's 3 roundings, the log's ulp, the product's and the
+    sum's P - 1 give (P + 5) 2^-53); G is g(1/2) right of the minimum, g(0)
+    left of it. A log-free pass gets g'(p) within K sum |w (f0 - f1) / f|.
+    By convexity g' >= d > 0 at a p <= x1 gives g(x2) - g(x1) >= d (x2 - x1)
+    > 2 Err, so x1 scores strictly lower and the step goes left as scored;
+    mirrored, a step goes right. Each skipped point lost strictly to a kept
+    one, so none is the best. The first undecided pair is scored, a tie
+    going to the point the plain loop scored first, which then runs on. A
+    value above 1 or f0 + f1 < 2^-900 skips nothing; g(0) = inf, no step right.
     """
     terms = tuple(zip(weights, at0, at1))
     log = math.log
     a, b = 0.0, 0.5
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
-    scored = []
-    for x in (x1, x2, a, b):
+    left, points, scored = None, [a, b, x1, x2], []
+    for x in points:
         stay = 1.0 - x
         total = 0.0
         try:
@@ -105,8 +159,14 @@ def _edge_solve(weights, at0, at1) -> tuple[float, float]:
         # roundoff guard: each value is <= 1 exactly, so the true total is
         # non-negative
         scored.append(total if total > 0.0 else 0.0)
-    f1, f2, f_lo, f_hi = scored
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
+        # both ends scored: replay what slopes decide, then score the pair
+        if len(scored) == 2 and at0 and max(max(at0), max(at1)) <= 1.0 and (
+                min(map(add, at0, at1)) >= 2.0 ** -900):
+            a, b, x1, x2, left = _opening(terms, weights, *scored, *points)
+            points[2:] = x1, x2
+    f_lo, f_hi, f1, f2 = scored
+    # on a tie the point scored first wins: x2 after a left step
+    best_x, best_f = (x1, f1) if (f1 < f2 if left else f1 <= f2) else (x2, f2)
     while b - a > SCALAR_TOL:
         left = f1 <= f2
         if left:

@@ -1,5 +1,7 @@
 import math
+import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -10,8 +12,8 @@ from parsiml import (DataMatrix, EdgeProbs, OptimizerConfig, canonical_newick,
                      parse_newick, random_instance)
 from parsiml import likelihood, mlopt
 from parsiml.likelihood import CHUNK, modified_logliks
-from parsiml.mlopt import (MAX_SWEEPS, TOL, _coordinate_descent, _edge_solve,
-                           _starting_points)
+from parsiml.mlopt import (MAX_SWEEPS, SCALAR_TOL, TOL, _coordinate_descent,
+                           _edge_solve, _starting_points)
 
 from conftest import (caterpillar, cost, grid_minimum, random_tree,
                       reference_edge_solve, scalar_pattern_value)
@@ -70,7 +72,83 @@ EDGE_PROFILES = {
     "subnormal": ([1.0, 9.0, 2.0], [5e-324, 1e-310, 0.75],
                   [1e-300, 2.5e-320, 0.5]),
     "one-pattern": ([12.0], [0.125], [0.625]),
+    # claims-ladder's regime: a heavy pattern pulls the minimum to about
+    # 1e-13, below SCALAR_TOL, against one that x = 0 rules out
+    "min-below-tol": ([1.0, 9.0 * 2.0 ** 40, 5.0], [0.0, 0.375, 0.25],
+                      [0.5, 0.0, 0.25]),
+    # every row flat: g' is exactly 0, so no slope is ever certified
+    "flat": ([2.0, 3.0, 5.0], [0.5, 0.25, 0.125], [0.5, 0.25, 0.125]),
+    "zero-at-1": ([3.0, 1.0], [0.5, 0.25], [0.0, 0.75]),
 }
+# plain golden section: 0, 1/2, the first pair, then 56 steps
+PLAIN_PASSES = 60
+
+
+class CountingMath:
+    """``math`` with a counter on ``log``: a cost pass over P patterns
+    makes P calls (fewer only if a pattern's blend is 0)."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+def fuzz_value(rng, extreme):
+    kind = rng.randrange(10 if extreme else 4)
+    if kind == 0:
+        return 0.0
+    if kind == 1:
+        return 10.0 ** -rng.uniform(0.0, 12.0)
+    if kind == 4:
+        return 10.0 ** -rng.uniform(280.0, 300.0)
+    if kind == 5:
+        return rng.randrange(1, 1 << 20) * 5e-324  # subnormal
+    if kind == 6:
+        return 1.0
+    return rng.random()
+
+
+def fuzz_profile(rng):
+    """A random (weights, at0, at1) for the edge solve.
+
+    P is 1..64 and weights reach 2^50. Rows may be flat, zero at 0 or at 1,
+    or, in an extreme profile (three in ten), zero at both, down to 1e-300,
+    subnormal or above 1. A falling, a rising or a heavy near-zero row puts
+    minima at 0, at 1/2 and below SCALAR_TOL; the rest fall in between.
+    """
+    size = rng.randint(1, 64) if rng.random() < 0.1 else rng.randint(1, 8)
+    shape = rng.randrange(6)
+    extreme = rng.random() < 0.3
+    weights, at0, at1 = [], [], []
+    for _ in range(size):
+        weights.append(float(rng.choice(
+            (1, rng.randint(1, 200), 2 ** rng.randint(0, 50)))))
+        v0 = fuzz_value(rng, extreme)
+        if rng.randrange(4) == 0:
+            v1 = v0
+        elif shape == 1:
+            v1 = v0 * 1e-3
+        elif shape == 2:
+            v1 = min(1.0, 3.0 * v0)
+        else:
+            v1 = fuzz_value(rng, extreme)
+        if v0 == v1 == 0.0 and not extreme:
+            v1 = rng.random()
+        at0.append(v0)
+        at1.append(v1)
+    if shape == 3:
+        weights.append(2.0 ** rng.randint(20, 50))
+        at1.append(rng.random())
+        at0.append(at1[-1] * 10.0 ** -rng.uniform(11.0, 16.0))
+    if shape == 4 and extreme:
+        at0[0] *= 2.0 ** rng.randint(1, 3)
+    return weights, at0, at1
 
 
 class TestGoldenSection:
@@ -109,6 +187,71 @@ class TestEdgeSolve:
         assert _edge_solve(*EDGE_PROFILES["zero-at-0"])[1] < math.inf
         assert _edge_solve(*EDGE_PROFILES["zero-at-both-ends"])[1] == math.inf
         assert min(EDGE_PROFILES["subnormal"][1]) < sys.float_info.min
+        assert 0.0 < _edge_solve(*EDGE_PROFILES["min-below-tol"])[0] < \
+            SCALAR_TOL
+        assert _edge_solve(*EDGE_PROFILES["zero-at-1"])[1] < math.inf
+        weights, at0, at1 = EDGE_PROFILES["flat"]
+        assert at0 == at1 and len(set(at0)) == len(at0)
+
+    def test_fuzzed_profiles_equal_reference(self):
+        rng = random.Random(25)
+        regimes = Counter()
+        for _ in range(20_000):
+            profile = fuzz_profile(rng)
+            want = reference_edge_solve(*profile)
+            assert hex_pair(_edge_solve(*profile)) == hex_pair(want), profile
+            x = want[0]
+            regimes["0" if x == 0.0 else "1/2" if x == 0.5 else
+                    "below tol" if x < SCALAR_TOL else "interior"] += 1
+        assert min(regimes[r] for r in ("0", "1/2", "below tol",
+                                        "interior")) >= 100, regimes
+
+    def test_tie_after_a_skipped_step_keeps_the_first_scored(self,
+                                                              monkeypatch):
+        # every cost ties, so the plain loop steps left and keeps x1 of the
+        # first pair as its best: replaying that step unscored must too
+        profile = EDGE_PROFILES["flat"]
+
+        def one_left_step(*args):
+            a, b = 0.0, 0.5
+            x1 = b - mlopt._INV_GOLDEN * (b - a)
+            b = a + mlopt._INV_GOLDEN * (b - a)  # x2 becomes b, x1 x2
+            return a, b, b - mlopt._INV_GOLDEN * (b - a), x1, True
+
+        monkeypatch.setattr(mlopt, "_opening", one_left_step)
+        assert hex_pair(_edge_solve(*profile)) == \
+            hex_pair(reference_edge_solve(*profile))
+
+    @pytest.mark.parametrize("name, fewest, most", [
+        ("min-at-0", 1, 8), ("min-below-tol", 1, 20),
+        ("subnormal", PLAIN_PASSES, PLAIN_PASSES),
+        ("zero-at-both-ends", PLAIN_PASSES, PLAIN_PASSES),
+        ("flat", PLAIN_PASSES, PLAIN_PASSES)])
+    def test_cost_passes(self, name, fewest, most, monkeypatch):
+        # slopes skip most of a steep profile's passes; a profile outside
+        # the roundoff bound, or with no certified slope, scores them all
+        counting = CountingMath()
+        monkeypatch.setattr(mlopt, "math", counting)
+        weights, at0, at1 = EDGE_PROFILES[name]
+        _edge_solve(weights, at0, at1)
+        passes = counting.logs / len(weights)
+        assert fewest <= passes <= most
+
+    def test_ladder_fit_scores_few_points(self, monkeypatch):
+        # claims-ladder's 16-leaf fit: 60 cost passes per solve without
+        # the shortcut
+        tree, data, config = lockstep_case("n=16,exact-nc")
+        counting, solves = CountingMath(), []
+        solve = mlopt._edge_solve
+
+        def spy(weights, at0, at1):
+            solves.append(len(weights))
+            return solve(weights, at0, at1)
+
+        monkeypatch.setattr(mlopt, "math", counting)
+        monkeypatch.setattr(mlopt, "_edge_solve", spy)
+        optimize_edges(tree, data, config)
+        assert counting.logs / sum(solves) <= 20
 
     @pytest.mark.parametrize("case", ["n=5,eps=0.5", "n=16,exact-nc"])
     def test_every_fit_profile_equals_reference(self, case, monkeypatch):
