@@ -14,23 +14,21 @@ A pattern with zero likelihood (possible once some p_e = 0) makes the cost
 +inf, which compares correctly against every finite value; a pattern value
 that merely underflows is recomputed in log space and stays finite.
 
-Two evaluators are provided on purpose: a term-by-term sum over
-``trees._extensions`` and a dynamic program over the tree. They share
-nothing but the model, so agreement is evidence, not tautology. The DP
-(:func:`pattern_values`) runs over a batch of edge vectors times every
-pattern at once with numpy, in the scalar recursion's operation order, so
-batching changes no bit of any value; a kept pass (:class:`PathDP`)
-recomputes only the path from a moved edge to the root, bit for bit. Its
-values become ln f in one place
-(:func:`_pattern_logs`), underflow rescue included, and the dataset cost is
-one left-to-right sum over those logs: its summation order is part of every
-reported number. That sum, in :func:`modified_logliks`, is the one
--sum w ln f loop in the package beside the edge optimizer's 1-D solve
-(``mlopt._edge_solve``), which scores blends of two profiles.
+Two evaluators share nothing but the model, so agreement is evidence, not
+tautology: a term-by-term sum over ``trees._extensions`` and a dynamic
+program, one postorder walk (:func:`_walk`) in two arithmetics. In floats,
+:func:`pattern_values` runs a batch of edge vectors times every pattern with
+numpy in the scalar recursion's operation order, so batching changes no bit,
+and a kept pass (:class:`PathDP`) recomputes only a moved edge's path to the
+root, bit for bit; in logs it is the underflow rescue. Values become ln f in
+one place (:func:`_pattern_logs`), and the dataset cost is one left-to-right
+sum over them in :func:`modified_logliks`, whose order is part of every
+reported number: the one -sum w ln f loop beside ``mlopt._edge_solve``'s.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -107,24 +105,30 @@ def _product(children, hung, i=None, pair=None):
     return like
 
 
-def _down_pass(plan, vecs, states, keep=False):
-    """``(down, hung)``: each vertex's (like0, like1) and each edge's hung
-    pair at B raw edge vectors and P ``states``, (B, P) arrays (a leaf's
-    (P,)), up a postorder ``plan``. Without ``keep`` a pair goes once used."""
-    vecs = np.asarray(vecs, dtype=float)
-    leaf1 = (np.asarray(states) != 0).T.astype(float)
-    leaf0 = 1.0 - leaf1
-    down = {v: (leaf0[v - 1], leaf1[v - 1])
-            for v, children in plan if not children}
+def _walk(plan, leaf, hang, product, keep=False):
+    """``(down, hung)``, each vertex's pair and edge's hung pair up postorder
+    ``plan`` in the arithmetic of ``leaf(v)``, ``hang(ei, c0, c1)`` and
+    ``product(children, hung)``. Without ``keep`` a pair goes once used."""
+    down = {v: leaf(v) for v, children in plan if not children}
     hung: dict[int, tuple] = {}
     for v, children in plan:
         if children:
             hung = hung if keep else {}
             for c, ei in children:
-                hung[ei] = _hang(vecs[:, ei, None],
-                                 *(down[c] if keep else down.pop(c)))
-            down[v] = _product(children, hung)
+                hung[ei] = hang(ei, *(down[c] if keep else down.pop(c)))
+            down[v] = product(children, hung)
     return down, hung
+
+
+def _down_pass(plan, vecs, states, keep=False):
+    """:func:`_walk` in floats: (B, P) pairs at B raw edge vectors and P
+    ``states`` (a leaf's (P,))."""
+    vecs = np.asarray(vecs, dtype=float)
+    leaf1 = (np.asarray(states) != 0).T.astype(float)
+    leaf0 = 1.0 - leaf1
+    return _walk(plan, lambda v: (leaf0[v - 1], leaf1[v - 1]),
+                 lambda ei, c0, c1: _hang(vecs[:, ei, None], c0, c1),
+                 _product, keep)
 
 
 def _root_values(plan, like, states):
@@ -231,31 +235,27 @@ def _log_add(a: float, b: float) -> float:
 
 
 def _log_pattern_value(plan, vec, ch) -> float:
-    """ln of one pattern's likelihood: :func:`pattern_values` carried in logs.
+    """ln of one pattern's likelihood: :func:`_walk` in logs, where a hang
+    is a :func:`_log_add` and a product a sum.
 
     Every vertex holds ln of its pair, so no value leaves the double range
     however small the likelihood (rescaling the linear pair instead still
     rounds p * c to 0.0 when p is subnormal), and only an impossible
     pattern gets -inf.
     """
-    down: dict[int, tuple[float, float]] = {}
+    def hang(ei, c0, c1):
+        flip = math.log(vec[ei]) if vec[ei] > 0.0 else -math.inf
+        stay = math.log1p(-vec[ei])
+        return _log_add(stay + c0, flip + c1), _log_add(flip + c0, stay + c1)
+
+    def add(children, hung):
+        return functools.reduce(lambda x, y: (x[0] + y[0], x[1] + y[1]),
+                                [hung[ei] for _, ei in children])
+
     root = plan[-1][0]
-    for v, children in plan:
-        if not children:
-            down[v] = (0.0, -math.inf) if ch[v - 1] == 0 else (-math.inf, 0.0)
-            continue
-        like0 = like1 = 0.0
-        for c, ei in children:
-            c0, c1 = down[c]
-            flip = math.log(vec[ei]) if vec[ei] > 0.0 else -math.inf
-            stay = math.log1p(-vec[ei])
-            like0 += _log_add(stay + c0, flip + c1)
-            like1 += _log_add(flip + c0, stay + c1)
-        down[v] = (like0, like1)
-    like0, like1 = down[root]
-    if root <= len(ch):
-        return like0 if ch[root - 1] == 0 else like1
-    return _log_add(like0, like1)
+    like = _walk(plan, lambda v: (0.0, -math.inf) if ch[v - 1] == 0
+                 else (-math.inf, 0.0), hang, add)[0][root]
+    return like[ch[root - 1]] if root <= len(ch) else _log_add(*like)
 
 
 def _pattern_logs(tree: Tree, vecs, states):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -250,6 +251,18 @@ def test_one_cost_sum_same_bits(n):
     assert normal and rescued
 
 
+UNDERFLOWING = [
+    [1e-200] * 5,  # two flips: the true value ~ 4e-400 rounds to 0.0
+    [2.0 ** -1023] * 4 + [0.5],  # a subnormal p on every pendant edge
+    [5e-324] * 5,  # p * c rounds to 0.0 under linear rescaling too
+    [5e-324, 0.5, 1e-300, 0.25, 2.0 ** -1022],
+    [0.0] + [1e-200] * 4,  # a zero edge that 0101 can route around
+]
+# zero, subnormals, the normal range's edge, tiny and ordinary values
+LOG_EDGE_VALUES = (0.0, 1e-320, 5e-324, 2.0 ** -1023, 2.0 ** -1022, 1e-300,
+                   1e-200, 1e-9, 0.25, 0.5)
+
+
 class TestDatasetCost:
     def test_leaf_count_mismatch_refused(self, quartet):
         with pytest.raises(ValueError, match="matrix has 5 leaves, tree has 4"):
@@ -272,13 +285,7 @@ class TestDatasetCost:
         probs = EdgeProbs.uniform(quartet, 0.0)
         assert modified_loglik(quartet, probs, data) == math.inf
 
-    @pytest.mark.parametrize("vec", [
-        [1e-200] * 5,  # two flips: the true value ~ 4e-400 rounds to 0.0
-        [2.0 ** -1023] * 4 + [0.5],  # a subnormal p on every pendant edge
-        [5e-324] * 5,  # p * c rounds to 0.0 under linear rescaling too
-        [5e-324, 0.5, 1e-300, 0.25, 2.0 ** -1022],
-        [0.0] + [1e-200] * 4,  # a zero edge that 0101 can route around
-    ])
+    @pytest.mark.parametrize("vec", UNDERFLOWING)
     def test_underflow_is_rescued(self, quartet, vec):
         data = DataMatrix.from_columns(4, [(0, 0, 1, 1), (0, 1, 0, 1)])
         value = modified_loglik(quartet, EdgeProbs.from_vector(quartet, vec),
@@ -286,6 +293,44 @@ class TestDatasetCost:
         assert math.isfinite(value)
         assert value == pytest.approx(exact_cost(quartet, vec, data),
                                       rel=1e-12)
+
+    def test_rescued_costs_pinned_to_the_bit(self, quartet):
+        # the costs above to the last bit, which 1e-12 cannot see
+        data = DataMatrix.from_columns(4, [(0, 0, 1, 1), (0, 1, 0, 1)])
+        assert [modified_loglik(quartet, EdgeProbs.from_vector(quartet, vec),
+                                data).hex() for vec in UNDERFLOWING] == [
+            "0x1.5936e7f98a06ep+10", "0x1.628b76e3a7b61p+10",
+            "0x1.171410f2225afp+11", "0x1.5b779ac6e0175p+9",
+            "0x1.5963447f87fb6p+10"]
+
+    def test_log_dp_pinned_to_the_bit(self):
+        # one md5 over the log-space DP's float.hex on a seeded battery:
+        # trees n = 2..11 at every anchor, edge values from LOG_EDGE_VALUES,
+        # from uniform [0, 1/2], a mix of the two and half of them zeroed
+        rng = np.random.default_rng(26)
+        logs = []
+        for n in range(2, 12):
+            tree = random_tree(n, n)
+            n_edges = len(tree.edges)
+            special = [rng.choice(LOG_EDGE_VALUES, n_edges) for _ in range(2)]
+            uniform = [rng.uniform(0.0, 0.5, n_edges) for _ in range(2)]
+            mixed = np.where(rng.integers(0, 2, n_edges) != 0, special[0],
+                             uniform[1])
+            zeroed = np.where(rng.integers(0, 2, n_edges) != 0, 0.0,
+                              special[1])
+            vecs = [[float(p) for p in vec]
+                    for vec in (special[0], zeroed, uniform[0], mixed)]
+            chars = [tuple(int(s) for s in rng.integers(0, 2, n))
+                     for _ in range(5)]
+            for anchor in sorted(tree.vertices):
+                plan = tree.rooted_plan(anchor)
+                logs += [_log_pattern_value(plan, vec, ch)
+                         for vec in vecs for ch in chars]
+        digest = hashlib.md5(" ".join(value.hex() for value in logs).encode())
+        # below the normal range's ln, and impossible patterns too
+        assert min(value for value in logs if value > -math.inf) < -745.0
+        assert logs.count(-math.inf) >= 10
+        assert digest.hexdigest() == "3fa9cd22bbb73888105c56ac4d12fcde"
 
     def test_log_values(self, quartet):
         patterns = [(0, 0, 1, 1), (0, 1, 0, 1)]

@@ -62,6 +62,8 @@ EDGE_PROFILES = {
     # the flip fraction 3/10 is the minimum
     "interior": ([3.0, 7.0], [0.0, 1.0], [1.0, 0.0]),
     "min-at-0": ([2.0, 1.0, 5.0, 3.0], _AT0, [f * 1e-3 for f in _AT0]),
+    # at1 has values above 1, so the roundoff bound refuses it: it takes
+    # the plain loop's 60 passes and never reaches the opening
     "min-at-half": ([2.0, 1.0, 5.0, 3.0], _AT0, [f * 4 for f in _AT0]),
     # a constant cost: the first pair of points ties exactly
     "first-pair-tie": ([4.0, 1.0], [0.25, 0.5], [0.25, 0.5]),
@@ -224,6 +226,7 @@ class TestEdgeSolve:
 
     @pytest.mark.parametrize("name, fewest, most", [
         ("min-at-0", 1, 8), ("min-below-tol", 1, 20),
+        ("one-pattern", 1, 8),  # g falls to 1/2: every step goes right
         ("subnormal", PLAIN_PASSES, PLAIN_PASSES),
         ("zero-at-both-ends", PLAIN_PASSES, PLAIN_PASSES),
         ("flat", PLAIN_PASSES, PLAIN_PASSES)])
